@@ -68,14 +68,22 @@ class PesCalibration:
     clamped: bool
 
 
-def _expected_candidates(stats: GraphStats, params: PesParams) -> float:
+def _saturated_q(stats: GraphStats, params: PesParams) -> tuple[float, float]:
+    """Expected candidate count x = p * wedges and retention q = pool / x,
+    checked against the saturated-reservoir assumption of the theory."""
     candidates = params.p * stats.wedges
     if candidates <= 1.0:
         raise ValueError(
             "pool theory undefined for sub-unit expected candidates "
             f"(p * wedges = {candidates:.6g} <= 1)"
         )
-    return candidates
+    q = params.pool / candidates
+    if q > 1.0:
+        raise ValueError(
+            "pool larger than expected candidate count "
+            f"(q = {q:.6g} > 1); theory assumes a saturated reservoir"
+        )
+    return candidates, q
 
 
 def pes_variance(stats: GraphStats, params: PesParams) -> VarianceBreakdown:
@@ -92,14 +100,8 @@ def pes_variance(stats: GraphStats, params: PesParams) -> VarianceBreakdown:
     pairs of edge-disjoint triangles.  Requires a saturated reservoir in
     expectation (q <= 1); q = 1 is accepted as the boundary case.
     """
-    candidates = _expected_candidates(stats, params)
+    candidates, q = _saturated_q(stats, params)
     pool = params.pool
-    q = pool / candidates
-    if q > 1.0:
-        raise ValueError(
-            "pool larger than expected candidate count "
-            f"(q = {q:.6g} > 1); theory assumes a saturated reservoir"
-        )
     q_prime_sq = (pool * pool - pool) / (candidates * candidates - candidates)
     phi_prime = stats.triangles**2 - 2 * stats.shared_pairs - stats.triangles
     p = params.p
@@ -126,13 +128,7 @@ def pes_rse_full(stats: GraphStats, params: PesParams) -> float:
     """
     if stats.triangles <= 0:
         raise ValueError("RSE undefined for a graph without triangles")
-    candidates = _expected_candidates(stats, params)
-    q = params.pool / candidates
-    if q > 1.0:
-        raise ValueError(
-            "pool larger than expected candidate count "
-            f"(q = {q:.6g} > 1); theory assumes a saturated reservoir"
-        )
+    _, q = _saturated_q(stats, params)
     p = params.p
     pq = p * q
     shared_weight = 2.0 * stats.shared_pairs / (5.0 * stats.triangles)
@@ -151,11 +147,6 @@ def pes_rse_simple(triangles_observed: float) -> float | None:
     if triangles_observed == 0:
         return None
     return triangles_observed**-0.5
-
-
-def nes_rse_simple(triangles_observed: float) -> float | None:
-    """Same arithmetic as :func:`pes_rse_simple`, for the naive estimator."""
-    return pes_rse_simple(triangles_observed)
 
 
 def observed_rse(estimates: Sequence[float], truth: float) -> float:

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
 from enum import IntEnum
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .analysis import (
     PesParams,
@@ -24,18 +25,27 @@ from .analysis import (
     pes_variance,
 )
 from .edgelist import ParseError, load_edge_list, shuffle_stream
-from .estimators import EstimateResult, nes_run, pes_run
+from .estimators import nes_run, pes_run
 from .harness import (
+    CALIBRATE_CSV_COLUMNS,
+    RATIO_CSV_COLUMNS,
+    STATS_CSV_COLUMNS,
+    SUMMARY_CSV_COLUMNS,
+    SHUFFLE_MODES,
+    SWEEP_CSV_COLUMNS,
     ExperimentConfig,
     InfeasibleError,
-    RunSummary,
-    format_csv_value,
+    calibrate_csv_row,
+    estimate_csv_columns,
+    estimate_csv_row,
+    ratio_csv_row,
     ratio_experiment,
     run_experiment,
     rse_sweep,
-    write_ratio_csv,
-    write_summary_csv,
-    write_sweep_csv,
+    stats_csv_row,
+    summary_csv_row,
+    sweep_csv_rows,
+    write_csv,
 )
 from .oracle import GraphStats, build_adjacency, compute_stats
 from .randomness import SeededSource, mix_seed
@@ -62,9 +72,18 @@ def _fmt(value: object) -> str:
     """Human-readable value: shortest float form, 'unavailable' for None."""
     if value is None:
         return "unavailable"
+    if isinstance(value, bool):
+        return "true" if value else "false"
     if isinstance(value, float):
         return format(value, ".12g")
     return str(value)
+
+
+def _line(columns: Sequence[str], row: Sequence[object], keys: Iterable[str] = ()) -> str:
+    """``column=value`` pairs of one table row, for ``keys`` (default: every
+    column) in order."""
+    fields = dict(zip(columns, row))
+    return " ".join(f"{key}={_fmt(fields[key])}" for key in keys or columns)
 
 
 def _parse_targets(text: str) -> list[float]:
@@ -76,57 +95,37 @@ def _parse_targets(text: str) -> list[float]:
         raise _UsageError(f"bad --targets value: {err}") from None
 
 
-def _print_stats_text(stats: GraphStats) -> None:
-    print(
-        f"N={stats.node_count} M={stats.edge_count} "
-        f"triangles={stats.triangles} wedges={stats.wedges} "
-        f"shared_pairs={stats.shared_pairs} clustering={_fmt(stats.clustering)}"
-    )
+def _stats_line(stats: GraphStats) -> str:
+    return _line(STATS_CSV_COLUMNS, stats_csv_row(stats))
 
 
-def _print_stats_csv(stats: GraphStats) -> None:
-    print("N,M,triangles,wedges,shared_pairs,clustering")
-    print(
-        ",".join(
-            format_csv_value(value)
-            for value in (
-                stats.node_count,
-                stats.edge_count,
-                stats.triangles,
-                stats.wedges,
-                stats.shared_pairs,
-                stats.clustering,
-            )
-        )
-    )
+def _report(csv_path: str | None, lines: Sequence[str], columns: Sequence[str],
+            rows: Sequence[Sequence[object]], *, table_on_stdout: bool = False,
+            note: str | None = None) -> int:
+    """Print ``lines`` (then the table, with ``table_on_stdout``), write the
+    table to ``csv_path`` and print ``note`` to stderr.
+
+    The CSV file is opened first, so an unwritable path fails before
+    anything is printed.
+    """
+    target = open(csv_path, "w", newline="", encoding="utf-8") if csv_path else nullcontext()
+    with target as csv_file:
+        for line in lines:
+            print(line)
+        if table_on_stdout:
+            write_csv(sys.stdout, columns, rows)
+        if csv_file is not None:
+            write_csv(csv_file, columns, rows)
+    if note:
+        print(f"note: {note}", file=sys.stderr)
+    return ExitStatus.OK
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
     stats = compute_stats(build_adjacency(load_edge_list(args.input)))
-    _print_stats_text(stats)
-    _print_stats_csv(stats)
-    return ExitStatus.OK
-
-
-def _estimate_fields(result: EstimateResult) -> list[tuple[str, object]]:
-    fields: list[tuple[str, object]] = [
-        ("method", result.method),
-        ("estimate", result.estimate),
-        ("p", result.p),
-    ]
-    if result.method == "pes":
-        fields += [("q", result.q), ("candidate_wedges", result.candidate_wedges)]
-    fields += [
-        ("triangles_observed", result.triangles_observed),
-        ("subgraph_edges", result.subgraph_edges),
-    ]
-    if result.method == "pes":
-        fields.append(("pool_size", result.pool_size))
-    fields += [
-        ("sample_size", result.sample_size),
-        ("estimated_rse", result.estimated_rse),
-    ]
-    return fields
+    return _report(
+        None, [_stats_line(stats)], STATS_CSV_COLUMNS, [stats_csv_row(stats)], table_on_stdout=True
+    )
 
 
 def _require_pool(args: argparse.Namespace) -> None:
@@ -147,37 +146,8 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
         result = nes_run(stream, args.p, rng)
     else:
         result = pes_run(stream, args.p, args.pool, rng)
-    fields = _estimate_fields(result)
-    print(" ".join(f"{key}={_fmt(value)}" for key, value in fields))
-    if args.csv:
-        with open(args.csv, "w", newline="", encoding="utf-8") as handle:
-            handle.write(",".join(key for key, _ in fields) + "\n")
-            handle.write(",".join(format_csv_value(value) for _, value in fields) + "\n")
-    return ExitStatus.OK
-
-
-def _print_summary(summary: RunSummary) -> None:
-    config = summary.config
-    line = [
-        ("method", config.method),
-        ("p", config.p),
-    ]
-    if config.pool is not None:
-        line.append(("pool", config.pool))
-    line += [
-        ("runs", config.runs),
-        ("base_seed", config.base_seed),
-        ("shuffle", config.shuffle),
-    ]
-    print(" ".join(f"{key}={_fmt(value)}" for key, value in line))
-    _print_stats_text(summary.stats)
-    print(
-        f"mean_estimate={_fmt(summary.mean_estimate)} "
-        f"observed_rse={_fmt(summary.observed_rse)} "
-        f"mean_triangles_observed={_fmt(summary.mean_triangles_observed)} "
-        f"mean_sample_size={_fmt(summary.mean_sample_size)} "
-        f"predicted_rse={_fmt(summary.predicted_rse)}"
-    )
+    columns, row = estimate_csv_columns(result.method), estimate_csv_row(result)
+    return _report(args.csv, [_line(columns, row)], columns, [row])
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
@@ -193,10 +163,17 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         jobs=args.jobs,
     )
     summary = run_experiment(edges, config)
-    _print_summary(summary)
-    if args.csv:
-        write_summary_csv(summary, args.csv)
-    return ExitStatus.OK
+    row = summary_csv_row(summary)
+    setup = ["method", "p", "pool", "runs", "base_seed", "shuffle"]
+    if config.pool is None:
+        setup.remove("pool")
+    lines = [
+        _line(SUMMARY_CSV_COLUMNS, row, setup),
+        _stats_line(summary.stats),
+        _line(SUMMARY_CSV_COLUMNS, row, ("mean_estimate", "observed_rse",
+              "mean_triangles_observed", "mean_sample_size", "predicted_rse")),
+    ]
+    return _report(args.csv, lines, SUMMARY_CSV_COLUMNS, [row])
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
@@ -210,24 +187,16 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         shuffle=args.shuffle,
         input_name=str(args.input),
     )
-    print(
-        f"target_rse={_fmt(report.target_rse)} runs={report.runs} "
-        f"nes_p={_fmt(report.nes_p)} pes_p={_fmt(report.pes_p)} "
-        f"pes_pool={report.pes_pool} saturated={str(report.saturated).lower()}"
-    )
-    _print_stats_text(report.stats)
-    print(
-        f"nes_observed_rse={_fmt(report.nes_summary.observed_rse)} "
-        f"pes_observed_rse={_fmt(report.pes_summary.observed_rse)} "
-        f"observed_size_ratio={_fmt(report.observed_size_ratio)} "
-        f"observed_probability_ratio={_fmt(report.observed_probability_ratio)} "
-        f"predicted_ratio={_fmt(report.predicted_ratio)}"
-    )
-    if report.saturated:
-        print("note: calibration clamped at p = 1; ratios are not meaningful", file=sys.stderr)
-    if args.csv:
-        write_ratio_csv(report, args.csv)
-    return ExitStatus.OK
+    row = ratio_csv_row(report)
+    lines = [
+        _line(RATIO_CSV_COLUMNS, row, ("target_rse", "runs", "nes_p", "pes_p", "pes_pool",
+                                       "saturated")),
+        _stats_line(report.stats),
+        _line(RATIO_CSV_COLUMNS, row, ("nes_observed_rse", "pes_observed_rse",
+              "observed_size_ratio", "observed_probability_ratio", "predicted_ratio")),
+    ]
+    note = "calibration clamped at p = 1; ratios are not meaningful" if report.saturated else None
+    return _report(args.csv, lines, RATIO_CSV_COLUMNS, [row], note=note)
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -236,40 +205,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         edges, args.targets, args.method, args.runs, args.seed,
         jobs=args.jobs, shuffle=args.shuffle,
     )
-    print(",".join(("target_rse", "observed_rse", "predicted_rse",
-                    "mean_triangles_observed", "mean_sample_size")))
-    for row in report.rows:
-        print(
-            ",".join(
-                format_csv_value(value)
-                for value in (
-                    row.target_rse,
-                    row.observed_rse,
-                    row.predicted_rse,
-                    row.mean_triangles_observed,
-                    row.mean_sample_size,
-                )
-            )
-        )
-    if args.csv:
-        write_sweep_csv(report, args.csv)
-    return ExitStatus.OK
-
-
-_CALIBRATE_COLUMNS = (
-    "target_rse",
-    "nes_p",
-    "nes_clamped",
-    "pes_p",
-    "pes_pool",
-    "pes_clamped",
-    "pool_rule_n",
-    "predicted_var_total",
-    "predicted_var_unit",
-    "predicted_var_shared",
-    "predicted_var_indep",
-    "predicted_rse_full",
-)
+    return _report(args.csv, [], SWEEP_CSV_COLUMNS, sweep_csv_rows(report), table_on_stdout=True)
 
 
 def _cmd_calibrate(args: argparse.Namespace) -> int:
@@ -280,40 +216,20 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     nes_cal = calibrate_nes(args.target_rse, stats.triangles)
     pes_cal = calibrate_pes(stats, args.target_rse)
     pool_rule = calibrate_pes_pool(args.target_rse, stats.clustering, wedge_cap=stats.wedges)
-    variance = rse_full = None
+    variance = rse_full = note = None
     try:
         params = PesParams(p=pes_cal.p, pool=pes_cal.pool)
         variance = pes_variance(stats, params)
         rse_full = pes_rse_full(stats, params)
     except ValueError as err:
-        print(f"note: variance prediction unavailable: {err}", file=sys.stderr)
-    _print_stats_text(stats)
-    print(
-        f"nes_p={_fmt(nes_cal.value)} nes_clamped={str(nes_cal.clamped).lower()} "
-        f"pes_p={_fmt(pes_cal.p)} pes_pool={pes_cal.pool} "
-        f"pes_clamped={str(pes_cal.clamped).lower()} pool_rule_n={pool_rule}"
-    )
-    row = (
-        args.target_rse,
-        nes_cal.value,
-        nes_cal.clamped,
-        pes_cal.p,
-        pes_cal.pool,
-        pes_cal.clamped,
-        pool_rule,
-        variance.total if variance else None,
-        variance.term_unit if variance else None,
-        variance.term_shared if variance else None,
-        variance.term_indep if variance else None,
-        rse_full,
-    )
-    print(",".join(_CALIBRATE_COLUMNS))
-    print(",".join(format_csv_value(value) for value in row))
-    if args.csv:
-        with open(args.csv, "w", newline="", encoding="utf-8") as handle:
-            handle.write(",".join(_CALIBRATE_COLUMNS) + "\n")
-            handle.write(",".join(format_csv_value(value) for value in row) + "\n")
-    return ExitStatus.OK
+        note = f"variance prediction unavailable: {err}"
+    row = calibrate_csv_row(args.target_rse, nes_cal, pes_cal, pool_rule, variance, rse_full)
+    lines = [
+        _stats_line(stats),
+        _line(CALIBRATE_CSV_COLUMNS, row, ("nes_p", "nes_clamped", "pes_p", "pes_pool",
+                                           "pes_clamped", "pool_rule_n")),
+    ]
+    return _report(args.csv, lines, CALIBRATE_CSV_COLUMNS, [row], table_on_stdout=True, note=note)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -327,6 +243,12 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--input", required=True, help="edge-list file (optionally gzip)")
         if csv:
             sub.add_argument("--csv", default=None, help="also write results to this CSV file")
+
+    def experiment(sub: argparse.ArgumentParser) -> None:
+        sub.add_argument("--seed", type=int, default=0)
+        sub.add_argument("--runs", type=int, default=1000)
+        sub.add_argument("--jobs", type=int, default=1)
+        sub.add_argument("--shuffle", choices=SHUFFLE_MODES, default="per-run")
 
     stats_cmd = commands.add_parser("stats", help="exact graph statistics")
     common(stats_cmd, csv=False)
@@ -346,19 +268,13 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate_cmd.add_argument("--method", required=True, choices=("nes", "pes"))
     evaluate_cmd.add_argument("--p", required=True, type=float)
     evaluate_cmd.add_argument("--pool", type=int, default=None)
-    evaluate_cmd.add_argument("--seed", type=int, default=0)
-    evaluate_cmd.add_argument("--runs", type=int, default=1000)
-    evaluate_cmd.add_argument("--jobs", type=int, default=1)
-    evaluate_cmd.add_argument("--shuffle", choices=("per-run", "fixed"), default="per-run")
+    experiment(evaluate_cmd)
     evaluate_cmd.set_defaults(handler=_cmd_evaluate)
 
     compare_cmd = commands.add_parser("compare", help="naive-vs-priority ratio study")
     common(compare_cmd)
     compare_cmd.add_argument("--target-rse", required=True, type=float)
-    compare_cmd.add_argument("--seed", type=int, default=0)
-    compare_cmd.add_argument("--runs", type=int, default=1000)
-    compare_cmd.add_argument("--jobs", type=int, default=1)
-    compare_cmd.add_argument("--shuffle", choices=("per-run", "fixed"), default="per-run")
+    experiment(compare_cmd)
     compare_cmd.set_defaults(handler=_cmd_compare)
 
     sweep_cmd = commands.add_parser("sweep", help="observed vs predicted RSE per target")
@@ -366,10 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_cmd.add_argument("--method", required=True, choices=("nes", "pes"))
     sweep_cmd.add_argument("--targets", required=True, type=_parse_targets,
                            help="comma-separated target RSEs, e.g. 0.1,0.2,0.3,0.4")
-    sweep_cmd.add_argument("--seed", type=int, default=0)
-    sweep_cmd.add_argument("--runs", type=int, default=1000)
-    sweep_cmd.add_argument("--jobs", type=int, default=1)
-    sweep_cmd.add_argument("--shuffle", choices=("per-run", "fixed"), default="per-run")
+    experiment(sweep_cmd)
     sweep_cmd.set_defaults(handler=_cmd_sweep)
 
     calibrate_cmd = commands.add_parser("calibrate", help="recommended parameters for a target RSE")
@@ -381,29 +294,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return ExitStatus.USAGE_ERROR
+        args = build_parser().parse_args(argv)
+        return args.handler(args)
     except SystemExit as exc:  # --help paths
         return ExitStatus.OK if exc.code in (0, None) else ExitStatus.USAGE_ERROR
-    try:
-        return args.handler(args)
-    except _UsageError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return ExitStatus.USAGE_ERROR
-    except ParseError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return ExitStatus.DATA_ERROR
-    except OSError as err:
+    except (ParseError, OSError) as err:  # ParseError before its base ValueError
         print(f"error: {err}", file=sys.stderr)
         return ExitStatus.DATA_ERROR
     except InfeasibleError as err:
         print(f"error: {err}", file=sys.stderr)
         return ExitStatus.INFEASIBLE
-    except ValueError as err:
+    except (_UsageError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return ExitStatus.USAGE_ERROR
 

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import gzip
 import random
-from dataclasses import dataclass, field
+import zlib
+from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable, NamedTuple
 
@@ -51,11 +52,11 @@ class EdgeList:
     """
 
     edges: tuple[Edge, ...]
-    node_count: int = field(init=False)
 
-    def __post_init__(self) -> None:
-        nodes = {endpoint for edge in self.edges for endpoint in edge}
-        object.__setattr__(self, "node_count", len(nodes))
+    @property
+    def node_count(self) -> int:
+        """Distinct endpoints, counted on each access."""
+        return len({endpoint for edge in self.edges for endpoint in edge})
 
     @property
     def edge_count(self) -> int:
@@ -101,11 +102,21 @@ def parse_edge_text(text: str) -> EdgeList:
 
 
 def parse_edge_list(source: IO[bytes] | bytes) -> EdgeList:
-    """Parse a byte stream (or bytes), transparently decompressing gzip input."""
+    """Parse a byte stream (or bytes), transparently decompressing gzip input.
+
+    Corrupt gzip data raises ``gzip.BadGzipFile``; non-UTF-8 text, ParseError.
+    """
     data = source if isinstance(source, bytes) else source.read()
     if data[:2] == _GZIP_MAGIC:
-        data = gzip.decompress(data)
-    return parse_edge_text(data.decode("utf-8"))
+        try:
+            data = gzip.decompress(data)
+        except (EOFError, zlib.error) as err:
+            raise gzip.BadGzipFile(f"corrupt gzip data: {err}") from None
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        raise ParseError(data.count(b"\n", 0, err.start) + 1, "not UTF-8 text") from None
+    return parse_edge_text(text)
 
 
 def load_edge_list(path: str | Path) -> EdgeList:

@@ -25,19 +25,20 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
+from .analysis import pes_rse_simple
 from .edgelist import Edge, EdgeList, NodeId
 from .randomness import RandomSource
 
 
 @dataclass
 class SampledSubgraph:
-    """Hash-indexed adjacency over the stream edges accepted so far."""
+    """Hash-indexed adjacency over the accepted stream edges; each arrives once."""
 
-    edges: set[Edge] = field(default_factory=set)
+    edge_count: int = 0
     incidence: dict[NodeId, set[NodeId]] = field(default_factory=dict)
 
     def insert(self, edge: Edge) -> None:
-        self.edges.add(edge)
+        self.edge_count += 1
         u, v = edge
         self.incidence.setdefault(u, set()).add(v)
         self.incidence.setdefault(v, set()).add(u)
@@ -50,10 +51,7 @@ class SampledSubgraph:
         return self.incidence.get(node, set())
 
     def __len__(self) -> int:
-        return len(self.edges)
-
-    def __contains__(self, edge: Edge) -> bool:
-        return edge in self.edges
+        return self.edge_count
 
 
 @dataclass(slots=True)
@@ -214,10 +212,6 @@ def _check_probability(p: float) -> None:
         raise ValueError(f"sampling probability p must be in (0, 1], got {p}")
 
 
-def _rse_or_none(triangles: int) -> float | None:
-    return triangles ** -0.5 if triangles > 0 else None
-
-
 def nes_run(stream: EdgeList, p: float, rng: RandomSource) -> EstimateResult:
     """Naive edge sampling over one pass of ``stream``.
 
@@ -246,7 +240,7 @@ def nes_run(stream: EdgeList, p: float, rng: RandomSource) -> EstimateResult:
         subgraph_edges=len(subgraph),
         pool_size=None,
         sample_size=len(subgraph),
-        estimated_rse=_rse_or_none(closed),
+        estimated_rse=pes_rse_simple(closed),
     )
 
 
@@ -310,10 +304,5 @@ def pes_run(
         subgraph_edges=len(subgraph),
         pool_size=len(pool),
         sample_size=len(subgraph) + len(pool),
-        estimated_rse=_rse_or_none(triangles),
+        estimated_rse=pes_rse_simple(triangles),
     )
-
-
-def neighbors_in_subgraph(subgraph: SampledSubgraph, node: NodeId) -> set[NodeId]:
-    """Functional alias for :meth:`SampledSubgraph.neighbors`."""
-    return subgraph.neighbors(node)

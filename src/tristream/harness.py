@@ -11,17 +11,19 @@ from __future__ import annotations
 
 import csv
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from functools import partial
 from pathlib import Path
 from statistics import fmean
-from typing import Iterable, Sequence
+from typing import IO, Iterable, Sequence
 
 from .analysis import (
+    CalibrationResult,
+    PesCalibration,
+    VarianceBreakdown,
     calibrate_nes,
     calibrate_pes,
     nes_pes_ratio,
-    nes_rse_simple,
     observed_rse,
     pes_rse_simple,
 )
@@ -34,6 +36,21 @@ DEFAULT_EDGE_BUDGET = 500_000
 
 METHODS = ("nes", "pes")
 SHUFFLE_MODES = ("per-run", "fixed")
+
+STATS_CSV_COLUMNS = ("N", "M", "triangles", "wedges", "shared_pairs", "clustering")
+
+ESTIMATE_CSV_COLUMNS = (
+    "method",
+    "estimate",
+    "p",
+    "q",
+    "candidate_wedges",
+    "triangles_observed",
+    "subgraph_edges",
+    "pool_size",
+    "sample_size",
+    "estimated_rse",
+)
 
 SUMMARY_CSV_COLUMNS = (
     "method",
@@ -84,6 +101,21 @@ RATIO_CSV_COLUMNS = (
     "observed_size_ratio",
     "observed_probability_ratio",
     "predicted_ratio",
+)
+
+CALIBRATE_CSV_COLUMNS = (
+    "target_rse",
+    "nes_p",
+    "nes_clamped",
+    "pes_p",
+    "pes_pool",
+    "pes_clamped",
+    "pool_rule_n",
+    "predicted_var_total",
+    "predicted_var_unit",
+    "predicted_var_shared",
+    "predicted_var_indep",
+    "predicted_rse_full",
 )
 
 
@@ -234,7 +266,6 @@ def run_experiment(
     results = _execute_runs(stream, config)
     estimates = [result.estimate for result in results]
     mean_triangles = fmean(result.triangles_observed for result in results)
-    predictor = nes_rse_simple if config.method == "nes" else pes_rse_simple
     return RunSummary(
         config=config,
         stats=truth,
@@ -243,7 +274,23 @@ def run_experiment(
         observed_rse=observed_rse(estimates, truth.triangles),
         mean_triangles_observed=mean_triangles,
         mean_sample_size=fmean(result.sample_size for result in results),
-        predicted_rse=predictor(mean_triangles),
+        predicted_rse=pes_rse_simple(mean_triangles),
+    )
+
+
+def calibrated_config(method: str, truth: GraphStats, target_rse: float, *, runs: int,
+                      base_seed: int, shuffle: str, jobs: int) -> ExperimentConfig:
+    """An experiment of ``method`` calibrated to ``target_rse`` on ``truth``:
+    the naive p from :func:`calibrate_nes`, or the priority (p, pool) from
+    :func:`calibrate_pes`.  A calibration clamped at the p = 1 boundary
+    shows as ``p == 1.0``."""
+    if method == "nes":
+        p, pool = calibrate_nes(target_rse, truth.triangles).value, None
+    else:
+        cal = calibrate_pes(truth, target_rse)
+        p, pool = cal.p, cal.pool
+    return ExperimentConfig(
+        method=method, p=p, pool=pool, runs=runs, base_seed=base_seed, shuffle=shuffle, jobs=jobs
     )
 
 
@@ -268,19 +315,11 @@ def ratio_experiment(
     truth = _oracle_stats(edges, edge_budget)
     if truth.triangles == 0:
         raise InfeasibleError("ratio experiment refused: graph has no triangles (triangle count = 0)")
-    nes_cal = calibrate_nes(target_rse, truth.triangles)
-    pes_cal = calibrate_pes(truth, target_rse)
     common = dict(runs=runs, base_seed=base_seed, shuffle=shuffle, jobs=jobs)
-    nes_summary = run_experiment(
-        edges,
-        ExperimentConfig(method="nes", p=nes_cal.value, **common),
-        stats=truth,
-    )
-    pes_summary = run_experiment(
-        edges,
-        ExperimentConfig(method="pes", p=pes_cal.p, pool=pes_cal.pool, **common),
-        stats=truth,
-    )
+    nes = calibrated_config("nes", truth, target_rse, **common)
+    pes = calibrated_config("pes", truth, target_rse, **common)
+    nes_summary = run_experiment(edges, nes, stats=truth)
+    pes_summary = run_experiment(edges, pes, stats=truth)
     mean_subgraph_nes = fmean(r.subgraph_edges for r in nes_summary.results)
     mean_subgraph_pes = fmean(r.subgraph_edges for r in pes_summary.results)
     return RatioReport(
@@ -289,15 +328,15 @@ def ratio_experiment(
         target_rse=target_rse,
         runs=runs,
         base_seed=base_seed,
-        nes_p=nes_cal.value,
-        pes_p=pes_cal.p,
-        pes_pool=pes_cal.pool,
-        saturated=nes_cal.clamped or pes_cal.clamped,
+        nes_p=nes.p,
+        pes_p=pes.p,
+        pes_pool=pes.pool,
+        saturated=nes.p == 1.0 or pes.p == 1.0,
         nes_summary=nes_summary,
         pes_summary=pes_summary,
         observed_size_ratio=nes_summary.mean_sample_size / pes_summary.mean_sample_size,
         observed_probability_ratio=mean_subgraph_nes / mean_subgraph_pes,
-        predicted_ratio=nes_pes_ratio(truth.edge_count, truth.wedges, nes_cal.value),
+        predicted_ratio=nes_pes_ratio(truth.edge_count, truth.wedges, nes.p),
     )
 
 
@@ -321,23 +360,9 @@ def rse_sweep(
         raise InfeasibleError("sweep refused: graph has no triangles (triangle count = 0)")
     rows: list[SweepRow] = []
     for target in targets:
-        if method == "nes":
-            cal = calibrate_nes(target, truth.triangles)
-            config = ExperimentConfig(
-                method="nes", p=cal.value, runs=runs,
-                base_seed=base_seed, shuffle=shuffle, jobs=jobs,
-            )
-        else:
-            pes_cal = calibrate_pes(truth, target)
-            config = ExperimentConfig(
-                method="pes",
-                p=pes_cal.p,
-                pool=pes_cal.pool,
-                runs=runs,
-                base_seed=base_seed,
-                shuffle=shuffle,
-                jobs=jobs,
-            )
+        config = calibrated_config(
+            method, truth, target, runs=runs, base_seed=base_seed, shuffle=shuffle, jobs=jobs
+        )
         summary = run_experiment(edges, config, stats=truth)
         rows.append(
             SweepRow(
@@ -356,8 +381,10 @@ def rse_sweep(
 
 
 # ---------------------------------------------------------------------------
-# CSV emission.  Floats are serialized with 17 significant digits so that
-# parsing an emitted file reproduces every numeric field exactly.
+# CSV emission.  Each schema is one column tuple and one row function; every
+# table, on stdout or in a file, goes through write_csv.  Floats are
+# serialized with 17 significant digits so that parsing an emitted file
+# reproduces every numeric field exactly.
 # ---------------------------------------------------------------------------
 
 
@@ -371,12 +398,35 @@ def format_csv_value(value: object) -> str:
     return str(value)
 
 
+def write_csv(handle: IO[str], columns: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
+    """Write a header line, then one line per row, to an open text stream."""
+    writer = csv.writer(handle, lineterminator="\n")
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow([format_csv_value(value) for value in row])
+
+
 def _write_csv(path: str | Path, columns: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([format_csv_value(value) for value in row])
+        write_csv(handle, columns, rows)
+
+
+def stats_csv_row(stats: GraphStats) -> tuple[object, ...]:
+    """The GraphStats fields, which are in STATS_CSV_COLUMNS order."""
+    return astuple(stats)
+
+
+def estimate_csv_columns(method: str) -> tuple[str, ...]:
+    """The estimate schema for ``method``: the naive method has no reservoir,
+    so its rows leave out the pool columns."""
+    if method == "pes":
+        return ESTIMATE_CSV_COLUMNS
+    pool_columns = ("q", "candidate_wedges", "pool_size")
+    return tuple(column for column in ESTIMATE_CSV_COLUMNS if column not in pool_columns)
+
+
+def estimate_csv_row(result: EstimateResult) -> tuple[object, ...]:
+    return tuple(getattr(result, column) for column in estimate_csv_columns(result.method))
 
 
 def summary_csv_row(summary: RunSummary) -> tuple[object, ...]:
@@ -393,12 +443,7 @@ def summary_csv_row(summary: RunSummary) -> tuple[object, ...]:
         summary.mean_triangles_observed,
         summary.mean_sample_size,
         summary.predicted_rse,
-        truth.node_count,
-        truth.edge_count,
-        truth.triangles,
-        truth.wedges,
-        truth.shared_pairs,
-        truth.clustering,
+        *stats_csv_row(truth),
     )
 
 
@@ -476,3 +521,15 @@ def ratio_csv_row(report: RatioReport) -> tuple[object, ...]:
 
 def write_ratio_csv(report: RatioReport, path: str | Path) -> None:
     _write_csv(path, RATIO_CSV_COLUMNS, [ratio_csv_row(report)])
+
+
+def calibrate_csv_row(target_rse: float, nes: CalibrationResult, pes: PesCalibration,
+                      pool_rule: int, variance: VarianceBreakdown | None,
+                      rse_full: float | None) -> tuple[object, ...]:
+    """Calibrated parameters and, when the theory applies, the predicted
+    variance terms; absent predictions stay None."""
+    terms = (None,) * 4
+    if variance is not None:
+        terms = (variance.total, variance.term_unit, variance.term_shared, variance.term_indep)
+    return (target_rse, nes.value, nes.clamped, pes.p, pes.pool, pes.clamped, pool_rule,
+            *terms, rse_full)

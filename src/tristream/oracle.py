@@ -78,10 +78,6 @@ def _triangle_census(graph: AdjacencyGraph) -> tuple[int, dict[Edge, int]]:
     return total, per_edge
 
 
-def count_triangles(graph: AdjacencyGraph) -> int:
-    return _triangle_census(graph)[0]
-
-
 def count_wedges(graph: AdjacencyGraph) -> int:
     """Number of length-two paths: sum over nodes of d(d-1)/2."""
     return sum(
@@ -90,15 +86,10 @@ def count_wedges(graph: AdjacencyGraph) -> int:
     )
 
 
-def count_shared_pairs(graph: AdjacencyGraph) -> int:
-    """Unordered pairs of triangles sharing an edge: sum over edges of t(t-1)/2."""
-    _, per_edge = _triangle_census(graph)
-    return sum(count * (count - 1) // 2 for count in per_edge.values())
-
-
 def compute_stats(graph: AdjacencyGraph) -> GraphStats:
     triangles, per_edge = _triangle_census(graph)
     wedges = count_wedges(graph)
+    # Unordered pairs of triangles sharing an edge: sum over edges of t(t-1)/2.
     shared = sum(count * (count - 1) // 2 for count in per_edge.values())
     clustering = 3.0 * triangles / wedges if wedges > 0 else 0.0
     return GraphStats(

@@ -16,7 +16,6 @@ from tristream import (
     compute_stats,
     erdos_renyi,
     nes_pes_ratio,
-    nes_rse_simple,
     observed_rse,
     pes_rse_full,
     pes_rse_simple,
@@ -139,9 +138,7 @@ def test_rse_simple_values():
     assert pes_rse_simple(25) == pytest.approx(0.2)
     assert pes_rse_simple(1) == 1.0
     assert pes_rse_simple(0) is None
-    assert nes_rse_simple(25) == pytest.approx(0.2)
-    assert nes_rse_simple(100) == pytest.approx(0.1)
-    assert nes_rse_simple(0) is None
+    assert pes_rse_simple(100) == pytest.approx(0.1)
     with pytest.raises(ValueError):
         pes_rse_simple(-1)
 

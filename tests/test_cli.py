@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import gzip
 
+import pytest
+
+from tristream import barabasi_albert, serialize_edge_list
 from tristream.cli import main
 
 from conftest import TOY_TEXT
@@ -11,6 +14,12 @@ def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def assert_data_error(code: int, out: str, err: str) -> None:
+    """Exit 2 with nothing on stdout and exactly one ``error:`` line."""
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------
@@ -51,6 +60,30 @@ def test_stats_malformed_file(capsys, tmp_path):
     code, _, err = run_cli(capsys, "stats", "--input", str(path))
     assert code == 2
     assert "line 2" in err
+
+
+@pytest.mark.parametrize("damage", ["truncated", "zeroed"])
+def test_stats_corrupt_gzip(capsys, tmp_path, damage):
+    # Truncation ends the deflate stream early (EOFError); these zeroed bytes
+    # break it mid-way (zlib.error) before the CRC is ever checked.
+    data = bytearray(gzip.compress(serialize_edge_list(barabasi_albert(2000, 8, seed=1)).encode()))
+    if damage == "truncated":
+        del data[20000:]
+    else:
+        data[5000:5100] = bytes(100)
+    path = tmp_path / "bad.txt.gz"
+    path.write_bytes(bytes(data))
+    code, out, err = run_cli(capsys, "stats", "--input", str(path))
+    assert_data_error(code, out, err)
+    assert "corrupt gzip data" in err
+
+
+def test_stats_non_utf8_input(capsys, tmp_path):
+    path = tmp_path / "latin.txt"
+    path.write_bytes(b"1 2\n\xff\xfe 3\n")
+    code, out, err = run_cli(capsys, "stats", "--input", str(path))
+    assert_data_error(code, out, err)
+    assert err == "error: line 2: not UTF-8 text\n"
 
 
 # ---------------------------------------------------------------------------
@@ -258,3 +291,26 @@ def test_calibrate_triangle_free_exits_infeasible(capsys, tmp_path):
     )
     assert code == 3
     assert "triangle count = 0" in err
+
+
+# ---------------------------------------------------------------------------
+# --csv targets
+# ---------------------------------------------------------------------------
+
+CSV_COMMANDS = {
+    "estimate": ["--method", "nes", "--p", "0.5"],
+    "evaluate": ["--method", "nes", "--p", "0.5", "--runs", "5"],
+    "compare": ["--target-rse", "0.3", "--runs", "5"],
+    "sweep": ["--method", "nes", "--targets", "0.3", "--runs", "5"],
+    "calibrate": ["--target-rse", "0.2"],
+}
+
+
+@pytest.mark.parametrize("command", CSV_COMMANDS)
+def test_unwritable_csv_prints_nothing(capsys, toy_file, tmp_path, command):
+    target = tmp_path / "missing" / "out.csv"
+    code, out, err = run_cli(
+        capsys, command, "--input", str(toy_file), *CSV_COMMANDS[command], "--csv", str(target)
+    )
+    assert_data_error(code, out, err)
+    assert not target.parent.exists()

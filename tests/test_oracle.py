@@ -8,8 +8,6 @@ from tristream import (
     build_adjacency,
     complete_graph,
     compute_stats,
-    count_shared_pairs,
-    count_triangles,
     count_wedges,
     erdos_renyi,
     make_edge,
@@ -39,15 +37,15 @@ def test_single_edge():
     graph = build_adjacency(EdgeList((make_edge(1, 2),)))
     assert graph.adjacency == {1: {2}, 2: {1}}
     assert count_wedges(graph) == 0
-    assert count_triangles(graph) == 0
+    assert compute_stats(graph).triangles == 0
 
 
 def test_toy_counts(toy_edges, toy_stats):
     graph = build_adjacency(toy_edges)
     # Triangles {1,2,3}, {6,8,9}, {6,9,10}; only edge (6,9) sits in two.
-    assert count_triangles(graph) == 3
+    assert toy_stats.triangles == 3
     assert count_wedges(graph) == 32
-    assert count_shared_pairs(graph) == 1
+    assert toy_stats.shared_pairs == 1
     assert toy_stats.clustering == 0.28125
     assert reference.brute_triangle_count(toy_edges) == 3
     assert reference.brute_shared_pair_count(toy_edges) == 1
@@ -56,9 +54,10 @@ def test_toy_counts(toy_edges, toy_stats):
 def test_star_is_triangle_free():
     star = parse_edge_text("0 1\n0 2\n0 3\n0 4\n0 5\n")
     graph = build_adjacency(star)
-    assert count_triangles(graph) == 0
+    stats = compute_stats(graph)
+    assert stats.triangles == 0
     assert count_wedges(graph) == 10
-    assert count_shared_pairs(graph) == 0
+    assert stats.shared_pairs == 0
 
 
 def test_complete_graphs():
@@ -71,7 +70,7 @@ def test_complete_graphs():
     # Brute force confirms 6 for K4: four triangles, every pair shares an edge.
     k4_edges = complete_graph(4)
     assert reference.brute_shared_pair_count(k4_edges) == 6
-    assert count_shared_pairs(build_adjacency(k4_edges)) == 6
+    assert compute_stats(build_adjacency(k4_edges)).shared_pairs == 6
 
 
 graph_cases = st.tuples(
@@ -87,9 +86,10 @@ def test_counts_match_brute_force(case):
     nodes, seed, density = case
     edges = erdos_renyi(nodes, density, seed)
     graph = build_adjacency(edges)
-    assert count_triangles(graph) == reference.brute_triangle_count(edges)
+    stats = compute_stats(graph)
+    assert stats.triangles == reference.brute_triangle_count(edges)
     assert count_wedges(graph) == reference.brute_wedge_count(edges)
-    assert count_shared_pairs(graph) == reference.brute_shared_pair_count(edges)
+    assert stats.shared_pairs == reference.brute_shared_pair_count(edges)
 
 
 @given(graph_cases)

@@ -11,10 +11,13 @@ input), 3 experiment infeasible (e.g. no triangles for compare/calibrate).
 from __future__ import annotations
 
 import argparse
+import os
+import shutil
 import sys
-from contextlib import nullcontext
+from contextlib import contextmanager
 from enum import IntEnum
-from typing import Iterable, Sequence
+from pathlib import Path
+from typing import IO, Iterable, Iterator, Sequence
 
 from .analysis import (
     PesParams,
@@ -99,29 +102,53 @@ def _stats_line(stats: GraphStats) -> str:
     return _line(STATS_CSV_COLUMNS, stats_csv_row(stats))
 
 
-def _report(csv_path: str | None, lines: Sequence[str], columns: Sequence[str],
+@contextmanager
+def _staged_csv(csv_path: str | None) -> Iterator[IO[str] | None]:
+    """A temporary file beside ``csv_path`` that replaces it when the block
+    succeeds and is removed when it fails; None without a path.
+
+    The temporary file is created on entry, before any input is read or
+    estimator run, so an unwritable target fails first, and a failed
+    command leaves an existing file at ``csv_path`` untouched.
+    """
+    if csv_path is None:
+        yield None
+        return
+    target = Path(os.path.realpath(csv_path))
+    if target.is_dir():
+        raise IsADirectoryError(f"--csv target is a directory: {csv_path}")
+    staged = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    try:
+        handle = open(staged, "x", newline="", encoding="utf-8")
+    except OSError as err:
+        raise OSError(err.errno, f"cannot write --csv file: {err.strerror}", csv_path) from None
+    try:
+        with handle:
+            yield handle
+        if target.exists():
+            shutil.copymode(target, staged)
+        os.replace(staged, target)
+    finally:
+        staged.unlink(missing_ok=True)
+
+
+def _report(csv_file: IO[str] | None, lines: Sequence[str], columns: Sequence[str],
             rows: Sequence[Sequence[object]], *, table_on_stdout: bool = False,
             note: str | None = None) -> int:
     """Print ``lines`` (then the table, with ``table_on_stdout``), write the
-    table to ``csv_path`` and print ``note`` to stderr.
-
-    The CSV file is opened first, so an unwritable path fails before
-    anything is printed.
-    """
-    target = open(csv_path, "w", newline="", encoding="utf-8") if csv_path else nullcontext()
-    with target as csv_file:
-        for line in lines:
-            print(line)
-        if table_on_stdout:
-            write_csv(sys.stdout, columns, rows)
-        if csv_file is not None:
-            write_csv(csv_file, columns, rows)
+    table to ``csv_file`` and print ``note`` to stderr."""
+    for line in lines:
+        print(line)
+    if table_on_stdout:
+        write_csv(sys.stdout, columns, rows)
+    if csv_file is not None:
+        write_csv(csv_file, columns, rows)
     if note:
         print(f"note: {note}", file=sys.stderr)
     return ExitStatus.OK
 
 
-def _cmd_stats(args: argparse.Namespace) -> int:
+def _cmd_stats(args: argparse.Namespace, csv_file: IO[str] | None) -> int:
     stats = compute_stats(build_adjacency(load_edge_list(args.input)))
     return _report(
         None, [_stats_line(stats)], STATS_CSV_COLUMNS, [stats_csv_row(stats)], table_on_stdout=True
@@ -135,7 +162,7 @@ def _require_pool(args: argparse.Namespace) -> None:
         raise _UsageError("--pool is only valid with --method pes")
 
 
-def _cmd_estimate(args: argparse.Namespace) -> int:
+def _cmd_estimate(args: argparse.Namespace, csv_file: IO[str] | None) -> int:
     _require_pool(args)
     edges = load_edge_list(args.input)
     stream = edges
@@ -147,10 +174,10 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     else:
         result = pes_run(stream, args.p, args.pool, rng)
     columns, row = estimate_csv_columns(result.method), estimate_csv_row(result)
-    return _report(args.csv, [_line(columns, row)], columns, [row])
+    return _report(csv_file, [_line(columns, row)], columns, [row])
 
 
-def _cmd_evaluate(args: argparse.Namespace) -> int:
+def _cmd_evaluate(args: argparse.Namespace, csv_file: IO[str] | None) -> int:
     _require_pool(args)
     edges = load_edge_list(args.input)
     config = ExperimentConfig(
@@ -173,10 +200,10 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         _line(SUMMARY_CSV_COLUMNS, row, ("mean_estimate", "observed_rse",
               "mean_triangles_observed", "mean_sample_size", "predicted_rse")),
     ]
-    return _report(args.csv, lines, SUMMARY_CSV_COLUMNS, [row])
+    return _report(csv_file, lines, SUMMARY_CSV_COLUMNS, [row])
 
 
-def _cmd_compare(args: argparse.Namespace) -> int:
+def _cmd_compare(args: argparse.Namespace, csv_file: IO[str] | None) -> int:
     edges = load_edge_list(args.input)
     report = ratio_experiment(
         edges,
@@ -196,19 +223,19 @@ def _cmd_compare(args: argparse.Namespace) -> int:
               "observed_size_ratio", "observed_probability_ratio", "predicted_ratio")),
     ]
     note = "calibration clamped at p = 1; ratios are not meaningful" if report.saturated else None
-    return _report(args.csv, lines, RATIO_CSV_COLUMNS, [row], note=note)
+    return _report(csv_file, lines, RATIO_CSV_COLUMNS, [row], note=note)
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
+def _cmd_sweep(args: argparse.Namespace, csv_file: IO[str] | None) -> int:
     edges = load_edge_list(args.input)
     report = rse_sweep(
         edges, args.targets, args.method, args.runs, args.seed,
         jobs=args.jobs, shuffle=args.shuffle,
     )
-    return _report(args.csv, [], SWEEP_CSV_COLUMNS, sweep_csv_rows(report), table_on_stdout=True)
+    return _report(csv_file, [], SWEEP_CSV_COLUMNS, sweep_csv_rows(report), table_on_stdout=True)
 
 
-def _cmd_calibrate(args: argparse.Namespace) -> int:
+def _cmd_calibrate(args: argparse.Namespace, csv_file: IO[str] | None) -> int:
     edges = load_edge_list(args.input)
     stats = compute_stats(build_adjacency(edges))
     if stats.triangles == 0:
@@ -229,7 +256,7 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
         _line(CALIBRATE_CSV_COLUMNS, row, ("nes_p", "nes_clamped", "pes_p", "pes_pool",
                                            "pes_clamped", "pool_rule_n")),
     ]
-    return _report(args.csv, lines, CALIBRATE_CSV_COLUMNS, [row], table_on_stdout=True, note=note)
+    return _report(csv_file, lines, CALIBRATE_CSV_COLUMNS, [row], table_on_stdout=True, note=note)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -296,7 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.handler(args)
+        with _staged_csv(getattr(args, "csv", None)) as csv_file:
+            return args.handler(args, csv_file)
     except SystemExit as exc:  # --help paths
         return ExitStatus.OK if exc.code in (0, None) else ExitStatus.USAGE_ERROR
     except (ParseError, OSError) as err:  # ParseError before its base ValueError
@@ -312,3 +340,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 def entry_point() -> None:
     sys.exit(int(main()))
+
+
+if __name__ == "__main__":
+    entry_point()

@@ -22,8 +22,9 @@ Estimated relative standard error for either method is
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterable
 
 from .analysis import pes_rse_simple
 from .edgelist import Edge, EdgeList, NodeId
@@ -32,23 +33,29 @@ from .randomness import RandomSource
 
 @dataclass
 class SampledSubgraph:
-    """Hash-indexed adjacency over the accepted stream edges; each arrives once."""
+    """Adjacency over the accepted stream edges; each arrives once.
+
+    ``incidence`` maps each node to its sampled neighbors in ascending
+    order, kept sorted as edges are inserted, so the priority estimator
+    walks them in a fixed order without sorting per stream edge.
+    """
 
     edge_count: int = 0
-    incidence: dict[NodeId, set[NodeId]] = field(default_factory=dict)
+    incidence: dict[NodeId, list[NodeId]] = field(default_factory=dict)
 
     def insert(self, edge: Edge) -> None:
         self.edge_count += 1
         u, v = edge
-        self.incidence.setdefault(u, set()).add(v)
-        self.incidence.setdefault(v, set()).add(u)
+        neighbors_u = self.incidence.setdefault(u, [])
+        index = bisect_left(neighbors_u, v)
+        if index < len(neighbors_u) and neighbors_u[index] == v:
+            return  # a repeated edge adds no neighbor
+        neighbors_u.insert(index, v)
+        insort(self.incidence.setdefault(v, []), u)
 
     def neighbors(self, node: NodeId) -> set[NodeId]:
-        """Sampled-edge neighbors of ``node``; empty set when unseen.
-
-        Returns the live internal set for known nodes; treat it as read-only.
-        """
-        return self.incidence.get(node, set())
+        """Sampled-edge neighbors of ``node`` as a new set; empty when unseen."""
+        return set(self.incidence.get(node, ()))
 
     def __len__(self) -> int:
         return self.edge_count
@@ -89,15 +96,25 @@ class WedgePool:
     seen so far then sits in the pool with exactly that probability.
     Evicting a closed wedge decrements the closed count, which keeps
     ``closed_count`` equal to the number of closed wedges in the slots.
+
+    Slot ``i`` is stored across three parallel lists: ``pairs[i]`` is the
+    canonical outer pair ``(a, b)`` with ``a <= b``, ``centers[i]`` the
+    center and ``closed[i]`` the closed flag.  A rejected candidate costs a
+    counter bump, a compare and one ``uniform()`` draw; only an admitted one
+    builds its pair and touches the lists.
     """
 
-    __slots__ = ("capacity", "slots", "candidate_count", "closed_count", "_by_pair")
+    __slots__ = (
+        "capacity", "pairs", "centers", "closed", "candidate_count", "closed_count", "_by_pair",
+    )
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError(f"pool capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self.slots: list[Wedge] = []
+        self.pairs: list[tuple[NodeId, NodeId]] = []
+        self.centers: list[NodeId] = []
+        self.closed: list[bool] = []
         self.candidate_count = 0
         self.closed_count = 0
         # Outer endpoint pair -> slot indices; replacement is in-place so
@@ -105,43 +122,67 @@ class WedgePool:
         self._by_pair: dict[tuple[NodeId, NodeId], set[int]] = {}
 
     def offer(self, outer1: NodeId, center: NodeId, outer2: NodeId, rng: RandomSource) -> float | None:
-        """Account one candidate wedge and maybe admit it.
+        """Account one candidate wedge and maybe admit it; see :meth:`offer_all`."""
+        return self.offer_all(outer1, center, (outer2,), rng)
 
-        Returns the replacement probability used, or None while the pool is
-        still filling.
+    def offer_all(
+        self, outer: NodeId, center: NodeId, others: Iterable[NodeId], rng: RandomSource
+    ) -> float | None:
+        """Offer the candidate wedge (outer, center, other) for each ``other``
+        in order, skipping ``other == outer``, which is no wedge.
+
+        Each candidate offered to a full pool draws one ``uniform()``, and each
+        one it admits one ``randrange(capacity)``.  Returns the replacement
+        probability ``capacity / candidate_count`` once the pool has
+        overflowed, or None while every candidate still fits.
         """
-        self.candidate_count += 1
-        slots = self.slots
-        if len(slots) < self.capacity:
-            wedge = Wedge(outer1, center, outer2)
-            self._by_pair.setdefault(wedge.outer_pair, set()).add(len(slots))
-            slots.append(wedge)
-            return None
-        q = self.capacity / self.candidate_count
-        if rng.uniform() < q:
-            index = rng.randrange(self.capacity)
-            victim = slots[index]
-            if victim.closed:
-                self.closed_count -= 1
-            victim_indices = self._by_pair[victim.outer_pair]
-            victim_indices.discard(index)
-            if not victim_indices:
-                del self._by_pair[victim.outer_pair]
-            wedge = Wedge(outer1, center, outer2)
-            slots[index] = wedge
-            self._by_pair.setdefault(wedge.outer_pair, set()).add(index)
-        return q
+        capacity = self.capacity
+        count = self.candidate_count
+        uniform = rng.uniform
+        for other in others:
+            if other == outer:
+                continue
+            count += 1
+            if count > capacity:
+                if uniform() < capacity / count:
+                    self._replace(rng.randrange(capacity), outer, center, other)
+            else:
+                self._append(outer, center, other)
+        self.candidate_count = count
+        return capacity / count if count > capacity else None
+
+    def _append(self, outer: NodeId, center: NodeId, other: NodeId) -> None:
+        pair = (outer, other) if outer <= other else (other, outer)
+        self._by_pair.setdefault(pair, set()).add(len(self.pairs))
+        self.pairs.append(pair)
+        self.centers.append(center)
+        self.closed.append(False)
+
+    def _replace(self, index: int, outer: NodeId, center: NodeId, other: NodeId) -> None:
+        if self.closed[index]:
+            self.closed_count -= 1
+            self.closed[index] = False
+        by_pair = self._by_pair
+        victim = self.pairs[index]
+        victim_indices = by_pair[victim]
+        victim_indices.discard(index)
+        if not victim_indices:
+            del by_pair[victim]
+        pair = (outer, other) if outer <= other else (other, outer)
+        by_pair.setdefault(pair, set()).add(index)
+        self.pairs[index] = pair
+        self.centers[index] = center
 
     def close_matching(self, pair: tuple[NodeId, NodeId]) -> int:
         """Mark every open pool wedge whose outer endpoints equal ``pair`` closed."""
         indices = self._by_pair.get(pair)
         if not indices:
             return 0
+        closed = self.closed
         newly_closed = 0
         for index in indices:
-            wedge = self.slots[index]
-            if not wedge.closed:
-                wedge.closed = True
+            if not closed[index]:
+                closed[index] = True
                 newly_closed += 1
         self.closed_count += newly_closed
         return newly_closed
@@ -156,33 +197,49 @@ class WedgePool:
             return 1.0
         return self.capacity / self.candidate_count
 
+    @property
+    def slots(self) -> list[Wedge]:
+        """The slots as ``Wedge`` copies, in slot order; editing them does not
+        change the pool."""
+        return [
+            Wedge(a, center, b, closed)
+            for (a, b), center, closed in zip(self.pairs, self.centers, self.closed)
+        ]
+
     def wedge_keys(self) -> list[tuple[NodeId, NodeId, NodeId]]:
-        return [wedge.key() for wedge in self.slots]
+        return [(a, center, b) for (a, b), center in zip(self.pairs, self.centers)]
 
     def audit(self) -> None:
         """Debug walk verifying the bookkeeping invariants; raises on mismatch."""
-        closed = sum(1 for wedge in self.slots if wedge.closed)
+        size = len(self.pairs)
+        if len(self.centers) != size or len(self.closed) != size:
+            raise RuntimeError(
+                f"slot lists out of step: {size} pairs, {len(self.centers)} centers, "
+                f"{len(self.closed)} flags"
+            )
+        closed = sum(self.closed)
         if closed != self.closed_count:
             raise RuntimeError(
                 f"closed-count drift: counter {self.closed_count}, slots hold {closed}"
             )
         expected_size = min(self.capacity, self.candidate_count)
-        if len(self.slots) != expected_size:
-            raise RuntimeError(
-                f"occupancy drift: {len(self.slots)} slots, expected {expected_size}"
-            )
+        if size != expected_size:
+            raise RuntimeError(f"occupancy drift: {size} slots, expected {expected_size}")
+        for index, (a, b) in enumerate(self.pairs):
+            if not a < b:
+                raise RuntimeError(f"slot {index} holds non-canonical pair {(a, b)}")
         indexed = sorted(
             index for indices in self._by_pair.values() for index in indices
         )
-        if indexed != list(range(len(self.slots))):
+        if indexed != list(range(size)):
             raise RuntimeError("pair index out of sync with slots")
         for pair, indices in self._by_pair.items():
             for index in indices:
-                if self.slots[index].outer_pair != pair:
+                if self.pairs[index] != pair:
                     raise RuntimeError(f"slot {index} filed under wrong pair {pair}")
 
     def __len__(self) -> int:
-        return len(self.slots)
+        return len(self.pairs)
 
 
 @dataclass(frozen=True)
@@ -218,18 +275,23 @@ def nes_run(stream: EdgeList, p: float, rng: RandomSource) -> EstimateResult:
     Per edge: admit it to the subgraph with probability ``p``, then count
     the subgraph wedges it closes (common sampled neighbors of its two
     endpoints).  An edge never closes a wedge it belongs to, so the order of
-    the two steps does not affect the count.
+    the two steps does not affect the count.  The subgraph is kept as
+    neighbor sets, which the intersection needs and which, unlike
+    :class:`SampledSubgraph`, cost no ordering on insert.
     """
     _check_probability(p)
-    subgraph = SampledSubgraph()
-    neighbors = subgraph.neighbors
+    incidence: dict[NodeId, set[NodeId]] = {}
+    neighbors = incidence.get
+    unseen: frozenset[NodeId] = frozenset()
     uniform = rng.uniform
-    closed = 0
+    kept = closed = 0
     for edge in stream.edges:
-        if uniform() < p:
-            subgraph.insert(edge)
         x, y = edge
-        closed += len(neighbors(x) & neighbors(y))
+        if uniform() < p:
+            incidence.setdefault(x, set()).add(y)
+            incidence.setdefault(y, set()).add(x)
+            kept += 1
+        closed += len(neighbors(x, unseen) & neighbors(y, unseen))
     return EstimateResult(
         method="nes",
         estimate=closed / (p * p),
@@ -237,9 +299,9 @@ def nes_run(stream: EdgeList, p: float, rng: RandomSource) -> EstimateResult:
         q=None,
         triangles_observed=closed,
         candidate_wedges=None,
-        subgraph_edges=len(subgraph),
+        subgraph_edges=kept,
         pool_size=None,
-        sample_size=len(subgraph),
+        sample_size=kept,
         estimated_rse=pes_rse_simple(closed),
     )
 
@@ -273,21 +335,21 @@ def pes_run(
     _check_probability(p)
     subgraph = SampledSubgraph()
     pool = WedgePool(pool_size)
-    neighbors = subgraph.neighbors
+    sorted_neighbors = subgraph.incidence.get  # no list for an unseen node
     uniform = rng.uniform
-    offer = pool.offer
+    offer_all = pool.offer_all
     close_matching = pool.close_matching
     for step, edge in enumerate(stream.edges, start=1):
         if uniform() < p:
             subgraph.insert(edge)
         close_matching(edge)
         x, y = edge
-        for c in sorted(neighbors(x)):
-            if c != y:
-                offer(y, x, c, rng)
-        for c in sorted(neighbors(y)):
-            if c != x:
-                offer(x, y, c, rng)
+        others = sorted_neighbors(x)
+        if others:
+            offer_all(y, x, others, rng)
+        others = sorted_neighbors(y)
+        if others:
+            offer_all(x, y, others, rng)
         if audit:
             pool.audit()
         if on_step is not None:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass
-from functools import partial
 from pathlib import Path
 from statistics import fmean
 from typing import IO, Iterable, Sequence
@@ -223,13 +222,29 @@ def _single_run(stream: EdgeList, config: ExperimentConfig, index: int) -> Estim
         raise ExperimentRunError(index, err) from err
 
 
+# The stream and config of the experiment a worker process serves, set once
+# per worker by _init_worker so that each task sends only its run index.
+_worker_task: tuple[EdgeList, ExperimentConfig] | None = None
+
+
+def _init_worker(stream: EdgeList, config: ExperimentConfig) -> None:
+    global _worker_task
+    _worker_task = (stream, config)
+
+
+def _worker_run(index: int) -> EstimateResult:
+    assert _worker_task is not None, "worker process was not initialized"
+    return _single_run(*_worker_task, index)
+
+
 def _execute_runs(stream: EdgeList, config: ExperimentConfig) -> tuple[EstimateResult, ...]:
     if config.jobs <= 1:
         return tuple(_single_run(stream, config, index) for index in range(config.runs))
-    worker = partial(_single_run, stream, config)
     chunksize = max(1, config.runs // (config.jobs * 8))
-    with ProcessPoolExecutor(max_workers=config.jobs) as executor:
-        return tuple(executor.map(worker, range(config.runs), chunksize=chunksize))
+    with ProcessPoolExecutor(
+        max_workers=config.jobs, initializer=_init_worker, initargs=(stream, config)
+    ) as executor:
+        return tuple(executor.map(_worker_run, range(config.runs), chunksize=chunksize))
 
 
 def _oracle_stats(edges: EdgeList, edge_budget: int) -> GraphStats:

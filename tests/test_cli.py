@@ -1,13 +1,20 @@
 from __future__ import annotations
 
 import gzip
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from tristream import barabasi_albert, serialize_edge_list
+import tristream
+from tristream import barabasi_albert, cli, serialize_edge_list
 from tristream.cli import main
 
 from conftest import TOY_TEXT
+
+TOY_GRAPH_FILE = Path(__file__).parents[1] / "data" / "toy_graph.txt"
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
@@ -306,11 +313,72 @@ CSV_COMMANDS = {
 }
 
 
+# The function each command spends its work in, named as the CLI imports it.
+CSV_COMMAND_WORK = {
+    "estimate": "nes_run",
+    "evaluate": "run_experiment",
+    "compare": "ratio_experiment",
+    "sweep": "rse_sweep",
+    "calibrate": "compute_stats",
+}
+
+
 @pytest.mark.parametrize("command", CSV_COMMANDS)
-def test_unwritable_csv_prints_nothing(capsys, toy_file, tmp_path, command):
-    target = tmp_path / "missing" / "out.csv"
+def test_unwritable_csv_prints_nothing(capsys, toy_file, tmp_path, monkeypatch, command):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{command} did its work before checking --csv")
+
+    monkeypatch.setattr(cli, CSV_COMMAND_WORK[command], refuse)
+    # A missing directory, and a directory in place of the file.
+    for target in (tmp_path / "missing" / "out.csv", tmp_path):
+        code, out, err = run_cli(
+            capsys, command, "--input", str(toy_file), *CSV_COMMANDS[command], "--csv", str(target)
+        )
+        assert_data_error(code, out, err)
+    assert not (tmp_path / "missing").exists()
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["toy.txt"]
+
+
+def test_failed_experiment_leaves_csv_untouched(capsys, toy_file, tmp_path):
+    target = tmp_path / "out.csv"
+    target.write_text("earlier results\n")
     code, out, err = run_cli(
-        capsys, command, "--input", str(toy_file), *CSV_COMMANDS[command], "--csv", str(target)
+        capsys, "evaluate", "--input", str(toy_file), "--method", "nes", "--p", "0.5",
+        "--runs", "1", "--csv", str(target),
     )
-    assert_data_error(code, out, err)
-    assert not target.parent.exists()
+    assert (code, out) == (3, "")
+    assert "insufficient runs" in err
+    assert target.read_text() == "earlier results\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["out.csv", "toy.txt"]
+
+
+def test_csv_replaces_existing_file_on_success(capsys, toy_file, tmp_path):
+    target = tmp_path / "out.csv"
+    target.write_text("earlier results\n")
+    code, out, _ = run_cli(
+        capsys, "calibrate", "--input", str(toy_file), "--target-rse", "0.2", "--csv", str(target)
+    )
+    assert code == 0
+    assert target.read_text() == "\n".join(out.splitlines()[2:]) + "\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["out.csv", "toy.txt"]
+
+
+# ---------------------------------------------------------------------------
+# python -m
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("module", ["tristream", "tristream.cli"])
+def test_python_m_matches_main(capsys, module):
+    argv = ["stats", "--input", str(TOY_GRAPH_FILE)]
+    code, out, err = run_cli(capsys, *argv)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(tristream.__file__).parents[1]), env.get("PYTHONPATH")])
+    )
+    completed = subprocess.run(
+        [sys.executable, "-m", module, *argv], env=env, capture_output=True, text=True,
+        timeout=60,
+    )
+    assert (completed.returncode, completed.stdout, completed.stderr) == (code, out, err)
+    assert out.startswith("N=11 M=13 triangles=3")

@@ -18,6 +18,7 @@ from tristream import (
     make_edge,
     mix_seed,
     nes_run,
+    normalize_edges,
     pes_run,
     shuffle_stream,
 )
@@ -87,6 +88,11 @@ def test_subgraph_neighbors():
     assert subgraph.neighbors(1) == {2, 3}
     assert len(subgraph) == 3
     assert 1 in subgraph.neighbors(2) and 2 in subgraph.neighbors(1)
+    subgraph.insert(make_edge(0, 1))
+    subgraph.insert(make_edge(1, 3))  # a repeated edge adds no neighbor
+    assert subgraph.incidence[1] == [0, 2, 3]
+    assert subgraph.neighbors(1) == {0, 2, 3}
+    assert len(subgraph) == 5
 
 
 def test_wedge_canonical_outer_endpoints():
@@ -111,6 +117,37 @@ def test_pool_monotone_replacement_probability():
     assert qs[0] == 3 / 4
     assert pool.candidate_count == 40
     assert pool.retention_probability() == 3 / 40
+
+
+class _FixedDraw:
+    """Draws ``value`` from every ``uniform()`` and slot 0 from ``randrange``."""
+
+    def __init__(self, value: float):
+        self.value = value
+
+    def uniform(self) -> float:
+        return self.value
+
+    def randrange(self, n: int) -> int:
+        return 0
+
+
+@pytest.mark.parametrize(
+    "capacity, count, draw, admitted",
+    [
+        # 1/49 draws exactly q: rejected, though 1/49 * 49 rounds below 1.
+        (1, 49, 1 / 49, False),
+        # Just below q = 3/13: admitted, though draw * 13 rounds up to 3.
+        (3, 13, 0.23076923076923075, True),
+    ],
+)
+def test_pool_compares_draw_with_probability(capacity, count, draw, admitted):
+    pool = WedgePool(capacity)
+    never = ScriptedSource([False] * count)
+    pool.offer_all(0, 1000, range(1, count), never)
+    before = pool.wedge_keys()
+    assert pool.offer(0, 1000, count, _FixedDraw(draw)) == capacity / count
+    assert (pool.wedge_keys() != before) == admitted
 
 
 def test_pool_retention_clamped_while_filling():
@@ -212,6 +249,70 @@ def test_full_sampling_candidate_count_equals_wedges(nodes, density, seed):
     stream = shuffle_stream(edges, seed + 1)
     result = pes_run(stream, 1.0, 10_000, SeededSource(seed))
     assert result.candidate_wedges == reference.brute_wedge_count(edges)
+
+
+# Random normalized streams over ten nodes, so that wedges, closures and
+# evictions are frequent.  Labels 11 apart make a set of neighbors iterate
+# out of ascending order, which the candidate order must not follow.
+nodes = st.sampled_from(range(0, 110, 11))
+streams = st.lists(st.tuples(nodes, nodes), min_size=5, max_size=60).map(
+    lambda pairs: EdgeList(normalize_edges(pairs))
+)
+
+
+@given(
+    streams,
+    st.sampled_from([0.2, 0.3, 0.5, 0.75, 1.0]),
+    st.integers(min_value=1, max_value=16),
+    st.integers(min_value=0, max_value=2**32),
+)
+@settings(max_examples=200, deadline=None)
+def test_pes_run_equals_per_candidate_reference(stream, p, capacity, seed):
+    result = pes_run(stream, p, capacity, SeededSource(seed), audit=True)
+    assert result == reference.reference_pes_run(stream, p, capacity, SeededSource(seed))
+
+
+class _CountingSource:
+    """Forwards to another source and counts the draws of each kind."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.uniforms = 0
+        self.picks = 0
+
+    def uniform(self) -> float:
+        self.uniforms += 1
+        return self.inner.uniform()
+
+    def randrange(self, n: int) -> int:
+        self.picks += 1
+        return self.inner.randrange(n)
+
+
+@given(
+    streams,
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=0, max_value=2**32),
+)
+@settings(max_examples=100, deadline=None)
+def test_scripted_source_consumes_one_decision_per_edge_and_late_candidate(
+    stream, capacity, seed
+):
+    # Every stream edge asks one subgraph question and every candidate
+    # offered to a full pool one more; a candidate count never exceeds the
+    # graph's wedge count, which bounds the script length needed.
+    script = SeededSource(seed)
+    length = stream.edge_count + reference.brute_wedge_count(stream)
+    decisions = [script.uniform() < 0.5 for _ in range(length)]
+    picks = [script.randrange(capacity) for _ in range(length)]
+    counted = _CountingSource(ScriptedSource(decisions, picks))
+    result = pes_run(stream, 0.5, capacity, counted, audit=True)
+    late_candidates = max(0, result.candidate_wedges - capacity)
+    assert counted.uniforms == stream.edge_count + late_candidates
+    # Replaying exactly the consumed prefix repeats the run and uses it up.
+    replay = ScriptedSource(decisions[: counted.uniforms], picks[: counted.picks])
+    assert pes_run(stream, 0.5, capacity, replay) == result
+    assert replay.exhausted
 
 
 def test_pool_bookkeeping_audit_over_random_runs():

@@ -22,6 +22,7 @@ from tristream import (
     write_summary_csv,
 )
 from tristream.harness import (
+    SHUFFLE_MODES,
     SUMMARY_CSV_COLUMNS,
     SWEEP_CSV_COLUMNS,
     summary_csv_row,
@@ -99,10 +100,14 @@ def test_bad_estimator_parameters_name_the_run(small_graph):
 
 
 def test_parallel_equals_serial(small_graph):
-    serial = run_experiment(small_graph, config(method="pes", pool=30))
-    parallel = run_experiment(small_graph, config(method="pes", pool=30, jobs=2))
-    assert serial.results == parallel.results
-    assert serial.observed_rse == parallel.observed_rse
+    for method, pool in (("nes", None), ("pes", 30)):
+        for shuffle in SHUFFLE_MODES:
+            serial = run_experiment(small_graph, config(method=method, pool=pool, shuffle=shuffle))
+            parallel = run_experiment(
+                small_graph, config(method=method, pool=pool, shuffle=shuffle, jobs=2)
+            )
+            assert serial.results == parallel.results, (method, shuffle)
+            assert serial.observed_rse == parallel.observed_rse, (method, shuffle)
 
 
 def test_fixed_shuffle_reuses_one_order(small_graph):

@@ -61,32 +61,6 @@ class SampledSubgraph:
         return self.edge_count
 
 
-@dataclass(slots=True)
-class Wedge:
-    """A length-two path through ``center``; outer endpoints are unordered.
-
-    Canonical form keeps ``a <= b`` so (a, c, b) and (b, c, a) compare equal.
-    ``closed`` flips False -> True at most once, when the edge joining the
-    outer endpoints arrives while the wedge sits in the pool.
-    """
-
-    a: NodeId
-    center: NodeId
-    b: NodeId
-    closed: bool = False
-
-    def __post_init__(self) -> None:
-        if self.a > self.b:
-            self.a, self.b = self.b, self.a
-
-    @property
-    def outer_pair(self) -> tuple[NodeId, NodeId]:
-        return (self.a, self.b)
-
-    def key(self) -> tuple[NodeId, NodeId, NodeId]:
-        return (self.a, self.center, self.b)
-
-
 class WedgePool:
     """Fixed-capacity uniform reservoir of candidate wedges.
 
@@ -120,10 +94,6 @@ class WedgePool:
         # Outer endpoint pair -> slot indices; replacement is in-place so
         # indices stay stable.
         self._by_pair: dict[tuple[NodeId, NodeId], set[int]] = {}
-
-    def offer(self, outer1: NodeId, center: NodeId, outer2: NodeId, rng: RandomSource) -> float | None:
-        """Account one candidate wedge and maybe admit it; see :meth:`offer_all`."""
-        return self.offer_all(outer1, center, (outer2,), rng)
 
     def offer_all(
         self, outer: NodeId, center: NodeId, others: Iterable[NodeId], rng: RandomSource
@@ -197,16 +167,8 @@ class WedgePool:
             return 1.0
         return self.capacity / self.candidate_count
 
-    @property
-    def slots(self) -> list[Wedge]:
-        """The slots as ``Wedge`` copies, in slot order; editing them does not
-        change the pool."""
-        return [
-            Wedge(a, center, b, closed)
-            for (a, b), center, closed in zip(self.pairs, self.centers, self.closed)
-        ]
-
     def wedge_keys(self) -> list[tuple[NodeId, NodeId, NodeId]]:
+        """The slots as ``(a, center, b)`` with ``a <= b``, in slot order."""
         return [(a, center, b) for (a, b), center in zip(self.pairs, self.centers)]
 
     def audit(self) -> None:

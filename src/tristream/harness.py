@@ -10,6 +10,7 @@ execute in parallel without changing any reported number.
 from __future__ import annotations
 
 import csv
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass
 from pathlib import Path
@@ -238,11 +239,14 @@ def _worker_run(index: int) -> EstimateResult:
 
 
 def _execute_runs(stream: EdgeList, config: ExperimentConfig) -> tuple[EstimateResult, ...]:
-    if config.jobs <= 1:
+    # The pool starts every worker at once, so more workers than runs or
+    # cores would only add processes; results do not depend on the count.
+    workers = min(config.jobs, config.runs, os.cpu_count() or 1)
+    if workers <= 1:
         return tuple(_single_run(stream, config, index) for index in range(config.runs))
-    chunksize = max(1, config.runs // (config.jobs * 8))
+    chunksize = max(1, config.runs // (workers * 8))
     with ProcessPoolExecutor(
-        max_workers=config.jobs, initializer=_init_worker, initargs=(stream, config)
+        max_workers=workers, initializer=_init_worker, initargs=(stream, config)
     ) as executor:
         return tuple(executor.map(_worker_run, range(config.runs), chunksize=chunksize))
 

@@ -1,24 +1,33 @@
 """Exact ground-truth graph statistics.
 
-Triangle counting uses the forward (degree-ordered neighbor intersection)
-algorithm, which also yields per-edge triangle counts so shared-triangle
-pairs come out of the same enumeration for free.
+The triangles through an edge are the common neighbors of its endpoints,
+counted by one set intersection per edge.  Summing over the edges sees
+every triangle three times, and the same per-edge counts give the pairs of
+triangles that share an edge.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .edgelist import Edge, EdgeList, NodeId, make_edge
+from .edgelist import Edge, EdgeList, NodeId
 
 
 @dataclass(frozen=True)
 class AdjacencyGraph:
-    """Symmetric hash-indexed adjacency; read-only after construction."""
+    """Symmetric hash-indexed adjacency and the normalized edges it was built
+    from; read-only after construction."""
 
     adjacency: dict[NodeId, set[NodeId]]
-    node_count: int
-    edge_count: int
+    edges: tuple[Edge, ...]
+
+    @property
+    def node_count(self) -> int:
+        return len(self.adjacency)
+
+    @property
+    def edge_count(self) -> int:
+        return len(self.edges)
 
 
 @dataclass(frozen=True)
@@ -42,40 +51,7 @@ def build_adjacency(edge_list: EdgeList) -> AdjacencyGraph:
     for u, v in edge_list.edges:
         adjacency.setdefault(u, set()).add(v)
         adjacency.setdefault(v, set()).add(u)
-    return AdjacencyGraph(
-        adjacency=adjacency,
-        node_count=len(adjacency),
-        edge_count=edge_list.edge_count,
-    )
-
-
-def _triangle_census(graph: AdjacencyGraph) -> tuple[int, dict[Edge, int]]:
-    """Count each triangle exactly once and tally how many contain each edge.
-
-    Edges are oriented from lower to higher (degree, id) rank; each triangle
-    is found at its lowest-ranked edge via forward-neighbor intersection.
-    """
-    adjacency = graph.adjacency
-    ordered = sorted(adjacency, key=lambda node: (len(adjacency[node]), node))
-    rank = {node: position for position, node in enumerate(ordered)}
-    forward = {
-        node: {other for other in neighbors if rank[other] > rank[node]}
-        for node, neighbors in adjacency.items()
-    }
-    total = 0
-    per_edge: dict[Edge, int] = {}
-    for u in ordered:
-        forward_u = forward[u]
-        for v in forward_u:
-            common = forward_u & forward[v]
-            if not common:
-                continue
-            total += len(common)
-            per_edge[make_edge(u, v)] = per_edge.get(make_edge(u, v), 0) + len(common)
-            for w in common:
-                per_edge[make_edge(u, w)] = per_edge.get(make_edge(u, w), 0) + 1
-                per_edge[make_edge(v, w)] = per_edge.get(make_edge(v, w), 0) + 1
-    return total, per_edge
+    return AdjacencyGraph(adjacency=adjacency, edges=edge_list.edges)
 
 
 def count_wedges(graph: AdjacencyGraph) -> int:
@@ -87,10 +63,13 @@ def count_wedges(graph: AdjacencyGraph) -> int:
 
 
 def compute_stats(graph: AdjacencyGraph) -> GraphStats:
-    triangles, per_edge = _triangle_census(graph)
+    adjacency = graph.adjacency
+    # Triangles through each edge; each triangle is seen from its three edges.
+    per_edge = [len(adjacency[u] & adjacency[v]) for u, v in graph.edges]
+    triangles = sum(per_edge) // 3
     wedges = count_wedges(graph)
     # Unordered pairs of triangles sharing an edge: sum over edges of t(t-1)/2.
-    shared = sum(count * (count - 1) // 2 for count in per_edge.values())
+    shared = sum(count * (count - 1) // 2 for count in per_edge)
     clustering = 3.0 * triangles / wedges if wedges > 0 else 0.0
     return GraphStats(
         node_count=graph.node_count,

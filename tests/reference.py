@@ -19,6 +19,16 @@ def _adjacency(edges: EdgeList) -> dict[int, set[int]]:
     return adj
 
 
+def brute_node_count(edges: EdgeList) -> int:
+    return len(_adjacency(edges))
+
+
+def brute_edge_count(edges: EdgeList) -> int:
+    """Adjacent node pairs, by scanning every pair of nodes."""
+    adj = _adjacency(edges)
+    return sum(1 for a, b in combinations(sorted(adj), 2) if b in adj[a])
+
+
 def brute_triangles(edges: EdgeList) -> list[tuple[int, int, int]]:
     """All triangles, by scanning every node triple."""
     adj = _adjacency(edges)

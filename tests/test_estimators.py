@@ -22,7 +22,7 @@ from tristream import (
     pes_run,
     shuffle_stream,
 )
-from tristream.estimators import SampledSubgraph, Wedge
+from tristream.estimators import SampledSubgraph
 
 from conftest import TOY_REPLAY_DECISIONS, TOY_REPLAY_SLOT_PICKS
 
@@ -55,7 +55,7 @@ def test_scripted_replay_pool_trace(toy_replay_stream):
     def hook(step, edge, subgraph, pool):
         snapshots[step] = (
             tuple(pool.wedge_keys()),
-            tuple(w.closed for w in pool.slots),
+            tuple(pool.closed),
             pool.candidate_count,
         )
 
@@ -95,11 +95,6 @@ def test_subgraph_neighbors():
     assert len(subgraph) == 5
 
 
-def test_wedge_canonical_outer_endpoints():
-    assert Wedge(7, 6, 8).key() == Wedge(8, 6, 7).key() == (7, 6, 8)
-    assert Wedge(7, 6, 8).outer_pair == (7, 8)
-
-
 def test_pool_rejects_bad_capacity():
     with pytest.raises(ValueError):
         WedgePool(0)
@@ -110,7 +105,7 @@ def test_pool_monotone_replacement_probability():
     rng = SeededSource(0)
     qs = []
     for i in range(40):
-        q = pool.offer(i, 1000, i + 1, rng)
+        q = pool.offer_all(i, 1000, (i + 1,), rng)
         if q is not None:
             qs.append(q)
     assert qs == sorted(qs, reverse=True)
@@ -146,7 +141,7 @@ def test_pool_compares_draw_with_probability(capacity, count, draw, admitted):
     never = ScriptedSource([False] * count)
     pool.offer_all(0, 1000, range(1, count), never)
     before = pool.wedge_keys()
-    assert pool.offer(0, 1000, count, _FixedDraw(draw)) == capacity / count
+    assert pool.offer_all(0, 1000, (count,), _FixedDraw(draw)) == capacity / count
     assert (pool.wedge_keys() != before) == admitted
 
 
@@ -154,7 +149,7 @@ def test_pool_retention_clamped_while_filling():
     pool = WedgePool(10)
     rng = SeededSource(0)
     for i in range(4):
-        pool.offer(i, 1000, i + 1, rng)
+        pool.offer_all(i, 1000, (i + 1,), rng)
     assert pool.retention_probability() == 1.0
 
 

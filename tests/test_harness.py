@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import os
 from statistics import fmean
 
 import pytest
@@ -21,6 +22,7 @@ from tristream import (
     shuffle_stream,
     write_summary_csv,
 )
+from tristream import harness
 from tristream.harness import (
     SHUFFLE_MODES,
     SUMMARY_CSV_COLUMNS,
@@ -108,6 +110,40 @@ def test_parallel_equals_serial(small_graph):
             )
             assert serial.results == parallel.results, (method, shuffle)
             assert serial.observed_rse == parallel.observed_rse, (method, shuffle)
+
+
+def test_jobs_capped_at_runs_and_cores(small_graph, monkeypatch):
+    pools: list[int] = []
+
+    class InProcessPool:
+        """Stands in for ProcessPoolExecutor without starting a process:
+        records the worker count, runs the initializer here, maps serially."""
+
+        def __init__(self, max_workers, initializer, initargs):
+            pools.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return None
+
+        def map(self, fn, iterable, chunksize=1):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(harness, "_worker_task", None)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    serial = run_experiment(small_graph, config(runs=3))
+    assert run_experiment(small_graph, config(runs=3, jobs=64)).results == serial.results
+    assert pools == [3]
+    run_experiment(small_graph, config(runs=50, jobs=64))
+    assert pools == [3, 8]
+    # An unknown core count runs serially.
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    run_experiment(small_graph, config(runs=50, jobs=64))
+    assert pools == [3, 8]
 
 
 def test_fixed_shuffle_reuses_one_order(small_graph):

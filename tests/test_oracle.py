@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from itertools import combinations
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,6 +13,7 @@ from tristream import (
     count_wedges,
     erdos_renyi,
     make_edge,
+    normalize_edges,
     parse_edge_text,
 )
 
@@ -80,13 +83,40 @@ graph_cases = st.tuples(
 )
 
 
-@given(graph_cases)
-@settings(max_examples=50, deadline=None)
-def test_counts_match_brute_force(case):
-    nodes, seed, density = case
-    edges = erdos_renyi(nodes, density, seed)
+# Labels 37 apart and descending, so no input is a contiguous 0..n-1 range.
+spaced_labels = st.integers(min_value=0, max_value=15).map(lambda i: 1000 - 37 * i)
+label_pairs = st.tuples(spaced_labels, spaced_labels)
+
+
+@st.composite
+def hub_graphs(draw):
+    """A star, or a clique missing some edges, plus a few arbitrary pairs."""
+    nodes = draw(st.lists(spaced_labels, min_size=2, max_size=14, unique=True))
+    hub = nodes[0]
+    if draw(st.booleans()):
+        pairs = [(hub, leaf) for leaf in nodes[1:]]
+    else:
+        clique = list(combinations(nodes, 2))
+        missing = draw(st.sets(st.sampled_from(clique), max_size=len(clique) // 4))
+        pairs = [pair for pair in clique if pair not in missing]
+    return pairs + draw(st.lists(label_pairs, max_size=12))
+
+
+oracle_graphs = st.one_of(
+    graph_cases.map(lambda case: erdos_renyi(case[0], edge_probability=case[2], seed=case[1])),
+    st.one_of(st.lists(label_pairs, max_size=60), hub_graphs()).map(
+        lambda pairs: EdgeList(normalize_edges(pairs))
+    ),
+)
+
+
+@given(oracle_graphs)
+@settings(max_examples=100, deadline=None)
+def test_counts_match_brute_force(edges):
     graph = build_adjacency(edges)
     stats = compute_stats(graph)
+    assert graph.node_count == stats.node_count == reference.brute_node_count(edges)
+    assert graph.edge_count == stats.edge_count == reference.brute_edge_count(edges)
     assert stats.triangles == reference.brute_triangle_count(edges)
     assert count_wedges(graph) == reference.brute_wedge_count(edges)
     assert stats.shared_pairs == reference.brute_shared_pair_count(edges)

@@ -33,7 +33,6 @@ from .edgelist import (
 )
 from .estimators import (
     EstimateResult,
-    SampledSubgraph,
     WedgePool,
     nes_run,
     pes_run,
@@ -51,16 +50,13 @@ from .harness import (
     read_summary_csv,
     run_experiment,
     rse_sweep,
-    write_ratio_csv,
     write_summary_csv,
-    write_sweep_csv,
 )
 from .oracle import (
     AdjacencyGraph,
     GraphStats,
     build_adjacency,
     compute_stats,
-    count_wedges,
 )
 from .randomness import RandomSource, ScriptedSource, SeededSource, mix_seed
 
@@ -82,7 +78,6 @@ __all__ = [
     "RandomSource",
     "RatioReport",
     "RunSummary",
-    "SampledSubgraph",
     "ScriptedSource",
     "SeededSource",
     "SweepReport",
@@ -96,7 +91,6 @@ __all__ = [
     "calibrate_pes_pool",
     "complete_graph",
     "compute_stats",
-    "count_wedges",
     "cycle_graph",
     "erdos_renyi",
     "load_edge_list",
@@ -118,7 +112,5 @@ __all__ = [
     "run_experiment",
     "serialize_edge_list",
     "shuffle_stream",
-    "write_ratio_csv",
     "write_summary_csv",
-    "write_sweep_csv",
 ]

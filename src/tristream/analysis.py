@@ -163,12 +163,28 @@ def observed_rse(estimates: Sequence[float], truth: float) -> float:
     return statistics.pstdev(estimates) / truth
 
 
+def _required_triangles(target_rse: float) -> float:
+    """target_rse ** -2, the identified-triangle count a target RSE asks for.
+
+    Raises ValueError unless ``target_rse`` is finite and positive and
+    1 / target_rse**2 is a finite positive number.
+    """
+    if not (math.isfinite(target_rse) and target_rse > 0):
+        raise ValueError(f"target RSE must be finite and positive, got {target_rse}")
+    square = target_rse * target_rse
+    required = 1.0 / square if square > 0 else math.inf
+    if not 0.0 < required < math.inf:
+        raise ValueError(
+            f"target RSE {target_rse} is out of range: 1 / target_rse**2 = {required}"
+        )
+    return required
+
+
 def calibrate_nes(target_rse: float, truth_triangles: int) -> CalibrationResult:
     """Edge probability for the naive method so about target_rse ** -2
     triangles are identified: p = 1 / (target_rse * sqrt(triangles)),
     clamped into (0, 1] with the clamp reported."""
-    if target_rse <= 0:
-        raise ValueError(f"target RSE must be positive, got {target_rse}")
+    _required_triangles(target_rse)
     if truth_triangles <= 0:
         raise ValueError("calibration needs a graph with triangles")
     raw = 1.0 / (target_rse * math.sqrt(truth_triangles))
@@ -187,16 +203,17 @@ def calibrate_pes_pool(
     wedge count, when known) bounds the result: a pool larger than the
     wedge count is wasted.
     """
-    if target_rse <= 0:
-        raise ValueError(f"target RSE must be positive, got {target_rse}")
+    required = _required_triangles(target_rse)
     if clustering <= 0:
         raise ValueError("pool size unbounded for triangle-free graphs (clustering = 0)")
     if clustering > 1:
         raise ValueError(f"clustering must be in (0, 1], got {clustering}")
-    size = math.ceil((1.0 / (target_rse * target_rse)) / clustering)
+    size = required / clustering
     if wedge_cap is not None and size > wedge_cap:
-        size = max(1, wedge_cap)
-    return size
+        return max(1, wedge_cap)
+    if size == math.inf:
+        raise ValueError(f"pool size for target RSE {target_rse} overflows")
+    return math.ceil(size)
 
 
 def calibrate_pes(stats: GraphStats, target_rse: float) -> PesCalibration:
@@ -206,11 +223,9 @@ def calibrate_pes(stats: GraphStats, target_rse: float) -> PesCalibration:
     so the expected retention probability is min(1, M / wedges), and p is
     chosen so the expected identified-triangle count is target_rse ** -2.
     """
-    if target_rse <= 0:
-        raise ValueError(f"target RSE must be positive, got {target_rse}")
+    required = _required_triangles(target_rse)
     if stats.triangles <= 0:
         raise ValueError("calibration needs a graph with triangles")
-    required = 1.0 / (target_rse * target_rse)
     q_protocol = min(1.0, stats.edge_count / stats.wedges)
     raw_p = required / (q_protocol * stats.triangles)
     p = min(1.0, raw_p)

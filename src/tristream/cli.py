@@ -11,13 +11,14 @@ input), 3 experiment infeasible (e.g. no triangles for compare/calibrate).
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import shutil
 import sys
 from contextlib import contextmanager
 from enum import IntEnum
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, Callable, Iterable, Iterator, Sequence
 
 from .analysis import (
     PesParams,
@@ -89,13 +90,31 @@ def _line(columns: Sequence[str], row: Sequence[object], keys: Iterable[str] = (
     return " ".join(f"{key}={_fmt(fields[key])}" for key in keys or columns)
 
 
+def _checked(convert: Callable[[str], float], accept: Callable[[float], bool],
+             rule: str) -> Callable[[str], float]:
+    """An argparse ``type=`` that converts a value and rejects it unless
+    ``accept`` holds, so a bad number fails as a usage error."""
+    def parse(text: str) -> float:
+        value = convert(text)
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"{rule}, got {text}")
+        return value
+    parse.__name__ = convert.__name__  # argparse's "invalid float value" names it
+    return parse
+
+
+_count = _checked(int, lambda value: value >= 1, "must be >= 1")
+_probability = _checked(float, lambda value: 0.0 < value <= 1.0, "must lie in (0, 1]")
+_target_rse = _checked(
+    float, lambda value: math.isfinite(value) and value > 0, "must be finite and > 0"
+)
+
+
 def _parse_targets(text: str) -> list[float]:
-    if not text.strip():
-        return []
     try:
-        return [float(token) for token in text.split(",") if token.strip()]
-    except ValueError as err:
-        raise _UsageError(f"bad --targets value: {err}") from None
+        return [_target_rse(token) for token in text.split(",") if token.strip()]
+    except ValueError as err:  # a bad float; ArgumentTypeError passes through
+        raise argparse.ArgumentTypeError(f"bad target: {err}") from None
 
 
 def _stats_line(stats: GraphStats) -> str:
@@ -273,8 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def experiment(sub: argparse.ArgumentParser) -> None:
         sub.add_argument("--seed", type=int, default=0)
-        sub.add_argument("--runs", type=int, default=1000)
-        sub.add_argument("--jobs", type=int, default=1)
+        sub.add_argument("--runs", type=_count, default=1000)
+        sub.add_argument("--jobs", type=_count, default=1)
         sub.add_argument("--shuffle", choices=SHUFFLE_MODES, default="per-run")
 
     stats_cmd = commands.add_parser("stats", help="exact graph statistics")
@@ -284,8 +303,10 @@ def build_parser() -> argparse.ArgumentParser:
     estimate_cmd = commands.add_parser("estimate", help="single estimator run")
     common(estimate_cmd)
     estimate_cmd.add_argument("--method", required=True, choices=("nes", "pes"))
-    estimate_cmd.add_argument("--p", required=True, type=float, help="edge sampling probability")
-    estimate_cmd.add_argument("--pool", type=int, default=None, help="wedge pool capacity (pes)")
+    estimate_cmd.add_argument("--p", required=True, type=_probability,
+                              help="edge sampling probability")
+    estimate_cmd.add_argument("--pool", type=_count, default=None,
+                              help="wedge pool capacity (pes)")
     estimate_cmd.add_argument("--seed", type=int, default=0)
     estimate_cmd.add_argument("--shuffle", choices=("per-run", "none"), default="per-run")
     estimate_cmd.set_defaults(handler=_cmd_estimate)
@@ -293,14 +314,14 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate_cmd = commands.add_parser("evaluate", help="k seeded runs with summary")
     common(evaluate_cmd)
     evaluate_cmd.add_argument("--method", required=True, choices=("nes", "pes"))
-    evaluate_cmd.add_argument("--p", required=True, type=float)
-    evaluate_cmd.add_argument("--pool", type=int, default=None)
+    evaluate_cmd.add_argument("--p", required=True, type=_probability)
+    evaluate_cmd.add_argument("--pool", type=_count, default=None)
     experiment(evaluate_cmd)
     evaluate_cmd.set_defaults(handler=_cmd_evaluate)
 
     compare_cmd = commands.add_parser("compare", help="naive-vs-priority ratio study")
     common(compare_cmd)
-    compare_cmd.add_argument("--target-rse", required=True, type=float)
+    compare_cmd.add_argument("--target-rse", required=True, type=_target_rse)
     experiment(compare_cmd)
     compare_cmd.set_defaults(handler=_cmd_compare)
 
@@ -314,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     calibrate_cmd = commands.add_parser("calibrate", help="recommended parameters for a target RSE")
     common(calibrate_cmd)
-    calibrate_cmd.add_argument("--target-rse", required=True, type=float)
+    calibrate_cmd.add_argument("--target-rse", required=True, type=_target_rse)
     calibrate_cmd.set_defaults(handler=_cmd_calibrate)
 
     return parser

@@ -14,7 +14,7 @@ import random
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable, NamedTuple
+from typing import IO, Iterable
 
 NodeId = int
 StreamSeed = int
@@ -31,16 +31,13 @@ class ParseError(ValueError):
         self.line_number = line_number
 
 
-class Edge(NamedTuple):
-    """Canonical undirected edge: the smaller endpoint is stored first."""
-
-    u: NodeId
-    v: NodeId
+# A canonical undirected edge: a plain pair, the smaller endpoint first.
+Edge = tuple[NodeId, NodeId]
 
 
 def make_edge(a: NodeId, b: NodeId) -> Edge:
     """Build a canonically oriented edge; (a, b) and (b, a) map to the same Edge."""
-    return Edge(a, b) if a <= b else Edge(b, a)
+    return (a, b) if a <= b else (b, a)
 
 
 @dataclass(frozen=True)

@@ -22,43 +22,13 @@ Estimated relative standard error for either method is
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
-from dataclasses import dataclass, field
+from bisect import insort
+from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .analysis import pes_rse_simple
 from .edgelist import Edge, EdgeList, NodeId
 from .randomness import RandomSource
-
-
-@dataclass
-class SampledSubgraph:
-    """Adjacency over the accepted stream edges; each arrives once.
-
-    ``incidence`` maps each node to its sampled neighbors in ascending
-    order, kept sorted as edges are inserted, so the priority estimator
-    walks them in a fixed order without sorting per stream edge.
-    """
-
-    edge_count: int = 0
-    incidence: dict[NodeId, list[NodeId]] = field(default_factory=dict)
-
-    def insert(self, edge: Edge) -> None:
-        self.edge_count += 1
-        u, v = edge
-        neighbors_u = self.incidence.setdefault(u, [])
-        index = bisect_left(neighbors_u, v)
-        if index < len(neighbors_u) and neighbors_u[index] == v:
-            return  # a repeated edge adds no neighbor
-        neighbors_u.insert(index, v)
-        insort(self.incidence.setdefault(v, []), u)
-
-    def neighbors(self, node: NodeId) -> set[NodeId]:
-        """Sampled-edge neighbors of ``node`` as a new set; empty when unseen."""
-        return set(self.incidence.get(node, ()))
-
-    def __len__(self) -> int:
-        return self.edge_count
 
 
 class WedgePool:
@@ -91,9 +61,10 @@ class WedgePool:
         self.closed: list[bool] = []
         self.candidate_count = 0
         self.closed_count = 0
-        # Outer endpoint pair -> slot indices; replacement is in-place so
-        # indices stay stable.
-        self._by_pair: dict[tuple[NodeId, NodeId], set[int]] = {}
+        # Outer endpoint pair -> the slots it was stored in, filed on every
+        # admission and never unfiled: an entry whose slot now holds another
+        # pair is stale and skipped when the pair closes.
+        self._by_pair: dict[tuple[NodeId, NodeId], list[int]] = {}
 
     def offer_all(
         self, outer: NodeId, center: NodeId, others: Iterable[NodeId], rng: RandomSource
@@ -123,7 +94,7 @@ class WedgePool:
 
     def _append(self, outer: NodeId, center: NodeId, other: NodeId) -> None:
         pair = (outer, other) if outer <= other else (other, outer)
-        self._by_pair.setdefault(pair, set()).add(len(self.pairs))
+        self._by_pair.setdefault(pair, []).append(len(self.pairs))
         self.pairs.append(pair)
         self.centers.append(center)
         self.closed.append(False)
@@ -132,26 +103,24 @@ class WedgePool:
         if self.closed[index]:
             self.closed_count -= 1
             self.closed[index] = False
-        by_pair = self._by_pair
-        victim = self.pairs[index]
-        victim_indices = by_pair[victim]
-        victim_indices.discard(index)
-        if not victim_indices:
-            del by_pair[victim]
         pair = (outer, other) if outer <= other else (other, outer)
-        by_pair.setdefault(pair, set()).add(index)
+        self._by_pair.setdefault(pair, []).append(index)
         self.pairs[index] = pair
         self.centers[index] = center
 
     def close_matching(self, pair: tuple[NodeId, NodeId]) -> int:
-        """Mark every open pool wedge whose outer endpoints equal ``pair`` closed."""
-        indices = self._by_pair.get(pair)
-        if not indices:
+        """Mark every open pool wedge whose outer endpoints equal ``pair`` closed.
+
+        The pair's entries leave the index: every slot still holding it is
+        closed now, and a later admission of the pair files it again.
+        """
+        indices = self._by_pair.pop(pair, None)
+        if indices is None:
             return 0
-        closed = self.closed
+        pairs, closed = self.pairs, self.closed
         newly_closed = 0
         for index in indices:
-            if not closed[index]:
+            if pairs[index] == pair and not closed[index]:
                 closed[index] = True
                 newly_closed += 1
         self.closed_count += newly_closed
@@ -190,15 +159,10 @@ class WedgePool:
         for index, (a, b) in enumerate(self.pairs):
             if not a < b:
                 raise RuntimeError(f"slot {index} holds non-canonical pair {(a, b)}")
-        indexed = sorted(
-            index for indices in self._by_pair.values() for index in indices
-        )
-        if indexed != list(range(size)):
-            raise RuntimeError("pair index out of sync with slots")
-        for pair, indices in self._by_pair.items():
-            for index in indices:
-                if self.pairs[index] != pair:
-                    raise RuntimeError(f"slot {index} filed under wrong pair {pair}")
+        filed = {(pair, index) for pair, indices in self._by_pair.items() for index in indices}
+        for index, pair in enumerate(self.pairs):
+            if not self.closed[index] and (pair, index) not in filed:
+                raise RuntimeError(f"open slot {index} is not filed under its pair {pair}")
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -229,6 +193,8 @@ class EstimateResult:
 def _check_probability(p: float) -> None:
     if not 0.0 < p <= 1.0:
         raise ValueError(f"sampling probability p must be in (0, 1], got {p}")
+    if p * p == 0.0:
+        raise ValueError(f"sampling probability p = {p} is too small: p * p is 0")
 
 
 def nes_run(stream: EdgeList, p: float, rng: RandomSource) -> EstimateResult:
@@ -238,8 +204,8 @@ def nes_run(stream: EdgeList, p: float, rng: RandomSource) -> EstimateResult:
     the subgraph wedges it closes (common sampled neighbors of its two
     endpoints).  An edge never closes a wedge it belongs to, so the order of
     the two steps does not affect the count.  The subgraph is kept as
-    neighbor sets, which the intersection needs and which, unlike
-    :class:`SampledSubgraph`, cost no ordering on insert.
+    neighbor sets, which the intersection needs and which cost no ordering
+    on insert.
     """
     _check_probability(p)
     incidence: dict[NodeId, set[NodeId]] = {}
@@ -268,7 +234,7 @@ def nes_run(stream: EdgeList, p: float, rng: RandomSource) -> EstimateResult:
     )
 
 
-StepHook = Callable[[int, Edge, SampledSubgraph, WedgePool], None]
+StepHook = Callable[[int, Edge, dict[NodeId, list[NodeId]], WedgePool], None]
 
 
 def pes_run(
@@ -289,23 +255,34 @@ def pes_run(
     subgraph regardless of whether the current edge itself was admitted,
     and the edge never pairs with itself.
 
+    The subgraph is ``incidence``, which maps each node to its sampled
+    neighbors in ascending order, kept sorted on insert so that candidates
+    are offered in a fixed order without a sort per stream edge.  It and
+    the pool's lazy pair index rely on every stream edge arriving once, as
+    an :class:`EdgeList` promises: a repeated edge would list a neighbor
+    twice, and the index drops a pair's entries at the one lookup the
+    pair's edge makes.
+
     The final estimate divides the closed count by ``p * q`` where ``q`` is
     the pool's final retention probability.  ``audit=True`` re-verifies the
     pool bookkeeping after every edge; ``on_step`` is called after each edge
-    with (1-based step, edge, subgraph, pool), for trace tests.
+    with (1-based step, edge, incidence, pool), for trace tests.
     """
     _check_probability(p)
-    subgraph = SampledSubgraph()
+    incidence: dict[NodeId, list[NodeId]] = {}
     pool = WedgePool(pool_size)
-    sorted_neighbors = subgraph.incidence.get  # no list for an unseen node
+    sorted_neighbors = incidence.get  # no list for an unseen node
     uniform = rng.uniform
     offer_all = pool.offer_all
     close_matching = pool.close_matching
+    kept = 0
     for step, edge in enumerate(stream.edges, start=1):
-        if uniform() < p:
-            subgraph.insert(edge)
-        close_matching(edge)
         x, y = edge
+        if uniform() < p:
+            insort(incidence.setdefault(x, []), y)
+            insort(incidence.setdefault(y, []), x)
+            kept += 1
+        close_matching(edge)
         others = sorted_neighbors(x)
         if others:
             offer_all(y, x, others, rng)
@@ -315,7 +292,7 @@ def pes_run(
         if audit:
             pool.audit()
         if on_step is not None:
-            on_step(step, edge, subgraph, pool)
+            on_step(step, edge, incidence, pool)
     q = pool.retention_probability()
     triangles = pool.closed_count
     return EstimateResult(
@@ -325,8 +302,8 @@ def pes_run(
         q=q,
         triangles_observed=triangles,
         candidate_wedges=pool.candidate_count,
-        subgraph_edges=len(subgraph),
+        subgraph_edges=kept,
         pool_size=len(pool),
-        sample_size=len(subgraph) + len(pool),
+        sample_size=kept + len(pool),
         estimated_rse=pes_rse_simple(triangles),
     )

@@ -128,8 +128,11 @@ class ExperimentRunError(ValueError):
     """An estimator failed inside a run; names the run index."""
 
     def __init__(self, run_index: int, cause: Exception):
-        super().__init__(f"run {run_index}: {cause}")
+        super().__init__(run_index, cause)  # both in args: a worker's error unpickles
         self.run_index = run_index
+
+    def __str__(self) -> str:
+        return f"run {self.run_index}: {self.args[1]}"
 
 
 @dataclass(frozen=True)
@@ -341,6 +344,10 @@ def ratio_experiment(
     pes_summary = run_experiment(edges, pes, stats=truth)
     mean_subgraph_nes = fmean(r.subgraph_edges for r in nes_summary.results)
     mean_subgraph_pes = fmean(r.subgraph_edges for r in pes_summary.results)
+    if mean_subgraph_pes == 0:
+        raise InfeasibleError(
+            f"ratio undefined: the priority runs sampled no edge at p = {pes.p:.6g}"
+        )
     return RatioReport(
         input_name=input_name,
         stats=truth,
@@ -425,11 +432,6 @@ def write_csv(handle: IO[str], columns: Sequence[str], rows: Iterable[Sequence[o
         writer.writerow([format_csv_value(value) for value in row])
 
 
-def _write_csv(path: str | Path, columns: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        write_csv(handle, columns, rows)
-
-
 def stats_csv_row(stats: GraphStats) -> tuple[object, ...]:
     """The GraphStats fields, which are in STATS_CSV_COLUMNS order."""
     return astuple(stats)
@@ -467,7 +469,8 @@ def summary_csv_row(summary: RunSummary) -> tuple[object, ...]:
 
 
 def write_summary_csv(summary: RunSummary, path: str | Path) -> None:
-    _write_csv(path, SUMMARY_CSV_COLUMNS, [summary_csv_row(summary)])
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        write_csv(handle, SUMMARY_CSV_COLUMNS, [summary_csv_row(summary)])
 
 
 def read_summary_csv(path: str | Path) -> list[dict[str, object]]:
@@ -508,10 +511,6 @@ def sweep_csv_rows(report: SweepReport) -> list[tuple[object, ...]]:
     ]
 
 
-def write_sweep_csv(report: SweepReport, path: str | Path) -> None:
-    _write_csv(path, SWEEP_CSV_COLUMNS, sweep_csv_rows(report))
-
-
 def ratio_csv_row(report: RatioReport) -> tuple[object, ...]:
     truth = report.stats
     return (
@@ -536,10 +535,6 @@ def ratio_csv_row(report: RatioReport) -> tuple[object, ...]:
         report.observed_probability_ratio,
         report.predicted_ratio,
     )
-
-
-def write_ratio_csv(report: RatioReport, path: str | Path) -> None:
-    _write_csv(path, RATIO_CSV_COLUMNS, [ratio_csv_row(report)])
 
 
 def calibrate_csv_row(target_rse: float, nes: CalibrationResult, pes: PesCalibration,

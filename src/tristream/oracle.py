@@ -47,19 +47,19 @@ class GraphStats:
 
 
 def build_adjacency(edge_list: EdgeList) -> AdjacencyGraph:
+    """Adjacency of a normalized edge list; raises ValueError on a self-loop
+    or a repeated edge, which the counts below would miscount."""
     adjacency: dict[NodeId, set[NodeId]] = {}
     for u, v in edge_list.edges:
         adjacency.setdefault(u, set()).add(v)
         adjacency.setdefault(v, set()).add(u)
+    degree_sum = sum(map(len, adjacency.values()))
+    if degree_sum != 2 * edge_list.edge_count:
+        raise ValueError(
+            f"edge list is not normalized: degree sum {degree_sum} is not twice its "
+            f"{edge_list.edge_count} edges (a self-loop or a repeated edge)"
+        )
     return AdjacencyGraph(adjacency=adjacency, edges=edge_list.edges)
-
-
-def count_wedges(graph: AdjacencyGraph) -> int:
-    """Number of length-two paths: sum over nodes of d(d-1)/2."""
-    return sum(
-        degree * (degree - 1) // 2
-        for degree in (len(neighbors) for neighbors in graph.adjacency.values())
-    )
 
 
 def compute_stats(graph: AdjacencyGraph) -> GraphStats:
@@ -67,7 +67,8 @@ def compute_stats(graph: AdjacencyGraph) -> GraphStats:
     # Triangles through each edge; each triangle is seen from its three edges.
     per_edge = [len(adjacency[u] & adjacency[v]) for u, v in graph.edges]
     triangles = sum(per_edge) // 3
-    wedges = count_wedges(graph)
+    # Length-two paths: sum over nodes of d(d-1)/2.
+    wedges = sum(len(neighbors) * (len(neighbors) - 1) // 2 for neighbors in adjacency.values())
     # Unordered pairs of triangles sharing an edge: sum over edges of t(t-1)/2.
     shared = sum(count * (count - 1) // 2 for count in per_edge)
     clustering = 3.0 * triangles / wedges if wedges > 0 else 0.0

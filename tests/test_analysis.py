@@ -265,6 +265,26 @@ def test_calibrate_pes_clamps_on_tiny_graph(toy_stats):
     assert cal.p == 1.0
 
 
+@pytest.mark.parametrize(
+    "target", [math.nan, math.inf, -math.inf, 0.0, -0.1, 5e-324, 1e-300, 1e155, 1e308]
+)
+def test_calibrations_reject_unusable_target(toy_stats, target):
+    # Subnormal and tiny targets overflow 1 / target**2; huge ones send it to 0.
+    with pytest.raises(ValueError, match="target RSE"):
+        calibrate_nes(target, toy_stats.triangles)
+    with pytest.raises(ValueError, match="target RSE"):
+        calibrate_pes(toy_stats, target)
+    with pytest.raises(ValueError, match="target RSE"):
+        calibrate_pes_pool(target, toy_stats.clustering, wedge_cap=toy_stats.wedges)
+
+
+def test_calibrate_pes_pool_overflow_needs_cap():
+    # 1 / target**2 is finite here but the division by clustering is not.
+    assert calibrate_pes_pool(1e-154, 0.28125, wedge_cap=32) == 32
+    with pytest.raises(ValueError, match="overflows"):
+        calibrate_pes_pool(1e-154, 0.28125)
+
+
 def test_nes_pes_ratio_examples(toy_stats):
     assert nes_pes_ratio(32, 32, 1.0) == 1.0
     assert nes_pes_ratio(13, 32, 0.5) == pytest.approx(0.8125)

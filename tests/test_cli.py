@@ -1,12 +1,17 @@
 from __future__ import annotations
 
+import contextlib
 import gzip
+import io
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tristream
 from tristream import barabasi_albert, cli, serialize_edge_list
@@ -23,10 +28,14 @@ def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
     return code, captured.out, captured.err
 
 
-def assert_data_error(code: int, out: str, err: str) -> None:
-    """Exit 2 with nothing on stdout and exactly one ``error:`` line."""
-    assert (code, out) == (2, "")
+def assert_failure(expected_code: int, code: int, out: str, err: str) -> None:
+    """``expected_code`` with nothing on stdout and exactly one ``error:`` line."""
+    assert (code, out) == (expected_code, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def assert_data_error(code: int, out: str, err: str) -> None:
+    assert_failure(2, code, out, err)
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +307,115 @@ def test_calibrate_triangle_free_exits_infeasible(capsys, tmp_path):
     )
     assert code == 3
     assert "triangle count = 0" in err
+
+
+# ---------------------------------------------------------------------------
+# Numeric arguments
+# ---------------------------------------------------------------------------
+
+BAD_NUMBERS = [
+    # An infinite target crashed the calibration; nan ran and printed nan.
+    ("compare", "--target-rse", "inf"),
+    ("compare", "--target-rse", "nan"),
+    ("compare", "--target-rse", "0"),
+    # 1 / target**2 overflows (1e-300) or vanishes (1e308).
+    ("calibrate", "--target-rse", "1e-300"),
+    ("calibrate", "--target-rse", "1e308"),
+    ("calibrate", "--target-rse", "nan"),
+    ("calibrate", "--target-rse=-0.5"),
+    ("sweep", "--method", "nes", "--targets", "0.1,nan"),
+    ("sweep", "--method", "nes", "--targets", "0.1,inf"),
+    ("sweep", "--method", "nes", "--targets", "0,0.1"),
+    ("sweep", "--method", "nes", "--targets", "0.1,x"),
+    ("estimate", "--method", "nes", "--p", "nan"),
+    ("estimate", "--method", "nes", "--p", "1.5"),
+    # In range, but p * p is 0, so no estimate can be scaled.
+    ("estimate", "--method", "nes", "--p", "5e-324"),
+    ("estimate", "--method", "pes", "--p", "0.5", "--pool", "0"),
+    ("evaluate", "--method", "nes", "--p", "0.5", "--runs", "0"),
+    ("evaluate", "--method", "nes", "--p", "0.5", "--runs", "2.5"),
+    ("evaluate", "--method", "nes", "--p", "0.5", "--jobs", "0"),
+    ("evaluate", "--method", "pes", "--p", "0.5", "--pool", "-1"),
+]
+
+
+@pytest.mark.parametrize("argv", BAD_NUMBERS, ids=" ".join)
+def test_bad_number_is_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--input", str(TOY_GRAPH_FILE))
+    assert_failure(1, code, out, err)
+
+
+def test_compare_with_no_sampled_priority_edge_is_infeasible(capsys):
+    # At target 50 the priority p is ~3e-4, so five runs on 13 edges keep
+    # none and the size ratios would divide by zero.
+    code, out, err = run_cli(
+        capsys, "compare", "--input", str(TOY_GRAPH_FILE), "--target-rse", "50", "--runs", "5"
+    )
+    assert_failure(3, code, out, err)
+    assert "sampled no edge" in err
+
+
+special_floats = st.sampled_from(
+    [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1e-310, 1e-300, 1e308, -1.0]
+)
+any_float = st.one_of(special_floats, st.floats())
+any_int = st.one_of(
+    st.integers(-3, 8), st.integers(2**63, 2**70), st.integers(max_value=-(2**63))
+)
+
+
+def mostly(in_range: st.SearchStrategy, anything: st.SearchStrategy) -> st.SearchStrategy:
+    """Draws in range three times in four, so that whole commands also run."""
+    return st.integers(0, 3).flatmap(lambda pick: anything if pick == 0 else in_range)
+
+
+some_float = mostly(st.floats(min_value=0.05, max_value=1.0), any_float)
+some_count = mostly(st.integers(min_value=1, max_value=40), any_int)
+
+
+@st.composite
+def numeric_argv(draw) -> list[str]:
+    """argv for one subcommand on the toy graph with arbitrary numbers; at
+    most 5 runs, since a huge run count is a valid but endless experiment."""
+    command = draw(st.sampled_from(["stats", "estimate", "evaluate", "compare", "sweep",
+                                    "calibrate"]))
+    argv = [command, "--input", str(TOY_GRAPH_FILE)]
+
+    def number(flag: str, values: st.SearchStrategy) -> None:
+        argv.append(f"{flag}={draw(values)!r}")
+
+    method = draw(st.sampled_from(["nes", "pes"]))
+    if command in ("estimate", "evaluate", "sweep"):
+        argv += ["--method", method]
+    if command in ("estimate", "evaluate"):
+        number("--p", some_float)
+        if method == "pes" or draw(st.booleans()):
+            number("--pool", some_count)
+    if command in ("compare", "calibrate"):
+        number("--target-rse", some_float)
+    if command == "sweep":
+        targets = draw(st.lists(some_float, max_size=3))
+        argv.append("--targets=" + ",".join(repr(target) for target in targets))
+    if command not in ("stats", "calibrate"):
+        number("--seed", any_int)
+    if command in ("evaluate", "compare", "sweep"):
+        number("--runs", st.integers(min_value=-2, max_value=5))
+        number("--jobs", some_count)
+    return argv
+
+
+@given(numeric_argv())
+@settings(max_examples=150, deadline=None)
+def test_any_number_exits_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in out + err
+    if code != 0:
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from tristream import (
     pes_run,
     shuffle_stream,
 )
-from tristream.estimators import SampledSubgraph
 
 from conftest import TOY_REPLAY_DECISIONS, TOY_REPLAY_SLOT_PICKS
 
@@ -77,22 +76,19 @@ def test_scripted_replay_pool_trace(toy_replay_stream):
 # ---------------------------------------------------------------------------
 
 
-def test_subgraph_neighbors():
-    subgraph = SampledSubgraph()
-    subgraph.insert(make_edge(6, 8))
-    assert subgraph.neighbors(6) == {8}
-    assert subgraph.neighbors(8) == {6}
-    assert subgraph.neighbors(999) == set()
-    subgraph.insert(make_edge(1, 2))
-    subgraph.insert(make_edge(1, 3))
-    assert subgraph.neighbors(1) == {2, 3}
-    assert len(subgraph) == 3
-    assert 1 in subgraph.neighbors(2) and 2 in subgraph.neighbors(1)
-    subgraph.insert(make_edge(0, 1))
-    subgraph.insert(make_edge(1, 3))  # a repeated edge adds no neighbor
-    assert subgraph.incidence[1] == [0, 2, 3]
-    assert subgraph.neighbors(1) == {0, 2, 3}
-    assert len(subgraph) == 5
+def test_pes_incidence_is_sorted_sampled_neighbors():
+    stream = EdgeList(((6, 8), (1, 3), (1, 2), (0, 1)))
+    seen = {}
+
+    def hook(step, edge, incidence, pool):
+        seen[step] = {node: list(neighbors) for node, neighbors in incidence.items()}
+
+    result = pes_run(stream, 1.0, 10, SeededSource(0), on_step=hook)
+    assert seen[1] == {6: [8], 8: [6]}
+    assert seen[3][1] == [2, 3]
+    assert seen[4][1] == [0, 2, 3]
+    assert seen[4][0] == [1] and seen[4][2] == [1]
+    assert result.subgraph_edges == 4
 
 
 def test_pool_rejects_bad_capacity():
@@ -143,6 +139,47 @@ def test_pool_compares_draw_with_probability(capacity, count, draw, admitted):
     before = pool.wedge_keys()
     assert pool.offer_all(0, 1000, (count,), _FixedDraw(draw)) == capacity / count
     assert (pool.wedge_keys() != before) == admitted
+
+
+def test_pool_stale_index_entries_close_nothing():
+    # Capacity 1: the slot is replaced by a wedge with the same outer pair,
+    # which files the slot under (1, 3) twice, then by one on another pair.
+    pool = WedgePool(1)
+    pool.offer_all(1, 5, (3,), SeededSource(0))
+    pool.offer_all(1, 6, (3,), _FixedDraw(0.0))
+    assert pool.wedge_keys() == [(1, 6, 3)]
+    pool.audit()
+    assert pool.close_matching((1, 3)) == 1
+    assert pool.closed_count == 1 and pool.closed == [True]
+    assert pool.close_matching((1, 3)) == 0
+    pool.offer_all(2, 7, (4,), _FixedDraw(0.0))
+    pool.offer_all(1, 8, (3,), _FixedDraw(0.0))
+    pool.offer_all(2, 9, (4,), _FixedDraw(0.0))
+    # The slot was filed under (1, 3) again in between; that entry is stale.
+    assert pool.close_matching((1, 3)) == 0
+    assert pool.closed == [False] and pool.closed_count == 0
+    pool.audit()
+    assert pool.close_matching((2, 4)) == 1
+    assert pool.closed_count == 1
+
+
+def test_pool_wedge_admitted_after_its_edge_stays_open():
+    pool = WedgePool(4)
+    rng = SeededSource(0)
+    pool.offer_all(1, 5, (3,), rng)
+    assert pool.close_matching((1, 3)) == 1
+    # Edge (1, 3) has passed; a later wedge on that pair can never close.
+    pool.offer_all(1, 6, (3,), rng)
+    assert pool.closed == [True, False] and pool.closed_count == 1
+    pool.audit()
+
+
+def test_pool_audit_catches_unfiled_open_slot():
+    pool = WedgePool(4)
+    pool.offer_all(1, 5, (3,), SeededSource(0))
+    pool._by_pair.clear()
+    with pytest.raises(RuntimeError, match="not filed"):
+        pool.audit()
 
 
 def test_pool_retention_clamped_while_filling():

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import io
 import os
+import pickle
 from statistics import fmean
 
 import pytest
@@ -24,12 +26,14 @@ from tristream import (
 )
 from tristream import harness
 from tristream.harness import (
+    RATIO_CSV_COLUMNS,
     SHUFFLE_MODES,
     SUMMARY_CSV_COLUMNS,
     SWEEP_CSV_COLUMNS,
+    ratio_csv_row,
     summary_csv_row,
-    write_ratio_csv,
-    write_sweep_csv,
+    sweep_csv_rows,
+    write_csv,
 )
 
 
@@ -97,8 +101,12 @@ def test_oracle_edge_budget():
 
 
 def test_bad_estimator_parameters_name_the_run(small_graph):
-    with pytest.raises(ExperimentRunError, match="run 0"):
-        run_experiment(small_graph, config(p=2.0))
+    # With jobs=2 the error crosses from a worker process, so it must pickle.
+    for jobs in (1, 2):
+        with pytest.raises(ExperimentRunError, match="run 0"):
+            run_experiment(small_graph, config(p=2.0, jobs=jobs))
+    error = pickle.loads(pickle.dumps(ExperimentRunError(3, ValueError("bad p"))))
+    assert (str(error), error.run_index) == ("run 3: bad p", 3)
 
 
 def test_parallel_equals_serial(small_graph):
@@ -236,12 +244,12 @@ def test_ratio_experiment_tracks_prediction():
     assert report.input_name == "er120"
 
 
-def test_ratio_csv_written(tmp_path):
+def test_ratio_csv_written():
     graph = erdos_renyi(60, 0.25, seed=8)
     report = ratio_experiment(graph, 0.3, 60, 5, input_name="er60")
-    path = tmp_path / "ratio.csv"
-    write_ratio_csv(report, path)
-    lines = path.read_text().splitlines()
+    out = io.StringIO()
+    write_csv(out, RATIO_CSV_COLUMNS, [ratio_csv_row(report)])
+    lines = out.getvalue().splitlines()
     assert len(lines) == 2
     assert lines[0].startswith("input,nodes,edges")
 
@@ -262,12 +270,12 @@ def test_sweep_single_target_minimum_runs(small_graph):
     assert report.rows[0].target_rse == 0.3
 
 
-def test_sweep_rows_and_csv(small_graph, tmp_path):
+def test_sweep_rows_and_csv(small_graph):
     report = rse_sweep(small_graph, [0.2, 0.4], "pes", 80, 31)
     assert [row.target_rse for row in report.rows] == [0.2, 0.4]
-    path = tmp_path / "sweep.csv"
-    write_sweep_csv(report, path)
-    lines = path.read_text().splitlines()
+    out = io.StringIO()
+    write_csv(out, SWEEP_CSV_COLUMNS, sweep_csv_rows(report))
+    lines = out.getvalue().splitlines()
     assert lines[0] == ",".join(SWEEP_CSV_COLUMNS)
     assert len(lines) == 3
 

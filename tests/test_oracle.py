@@ -2,6 +2,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,7 +11,6 @@ from tristream import (
     build_adjacency,
     complete_graph,
     compute_stats,
-    count_wedges,
     erdos_renyi,
     make_edge,
     normalize_edges,
@@ -39,19 +39,33 @@ def test_empty_graph():
 def test_single_edge():
     graph = build_adjacency(EdgeList((make_edge(1, 2),)))
     assert graph.adjacency == {1: {2}, 2: {1}}
-    assert count_wedges(graph) == 0
-    assert compute_stats(graph).triangles == 0
+    stats = compute_stats(graph)
+    assert (stats.wedges, stats.triangles) == (0, 0)
 
 
 def test_toy_counts(toy_edges, toy_stats):
-    graph = build_adjacency(toy_edges)
     # Triangles {1,2,3}, {6,8,9}, {6,9,10}; only edge (6,9) sits in two.
     assert toy_stats.triangles == 3
-    assert count_wedges(graph) == 32
+    assert toy_stats.wedges == 32
     assert toy_stats.shared_pairs == 1
     assert toy_stats.clustering == 0.28125
     assert reference.brute_triangle_count(toy_edges) == 3
     assert reference.brute_shared_pair_count(toy_edges) == 1
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [
+        ((1, 2), (2, 3), (1, 3), (1, 1)),  # a self-loop
+        ((1, 2), (2, 3), (1, 3), (1, 2)),  # a repeated edge
+        ((1, 2), (2, 3), (1, 3), (2, 1)),  # a repeat in the other orientation
+    ],
+)
+def test_unnormalized_edge_list_rejected(edges):
+    # Counted as given, the self-loop read as triangles=2 and clustering=1.2,
+    # and the repeat as M=4 with wedges=3.
+    with pytest.raises(ValueError, match="not normalized"):
+        build_adjacency(EdgeList(edges))
 
 
 def test_star_is_triangle_free():
@@ -59,7 +73,7 @@ def test_star_is_triangle_free():
     graph = build_adjacency(star)
     stats = compute_stats(graph)
     assert stats.triangles == 0
-    assert count_wedges(graph) == 10
+    assert stats.wedges == 10
     assert stats.shared_pairs == 0
 
 
@@ -118,7 +132,7 @@ def test_counts_match_brute_force(edges):
     assert graph.node_count == stats.node_count == reference.brute_node_count(edges)
     assert graph.edge_count == stats.edge_count == reference.brute_edge_count(edges)
     assert stats.triangles == reference.brute_triangle_count(edges)
-    assert count_wedges(graph) == reference.brute_wedge_count(edges)
+    assert stats.wedges == reference.brute_wedge_count(edges)
     assert stats.shared_pairs == reference.brute_shared_pair_count(edges)
 
 

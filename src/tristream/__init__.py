@@ -47,7 +47,6 @@ from .harness import (
     SweepReport,
     SweepRow,
     ratio_experiment,
-    read_summary_csv,
     run_experiment,
     rse_sweep,
     write_summary_csv,
@@ -107,7 +106,6 @@ __all__ = [
     "pes_run",
     "pes_variance",
     "ratio_experiment",
-    "read_summary_csv",
     "rse_sweep",
     "run_experiment",
     "serialize_edge_list",

@@ -18,7 +18,7 @@ import sys
 from contextlib import contextmanager
 from enum import IntEnum
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator, Sequence
+from typing import IO, Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 from .analysis import (
     PesParams,
@@ -31,16 +31,11 @@ from .analysis import (
 from .edgelist import ParseError, load_edge_list, shuffle_stream
 from .estimators import nes_run, pes_run
 from .harness import (
-    CALIBRATE_CSV_COLUMNS,
-    RATIO_CSV_COLUMNS,
-    STATS_CSV_COLUMNS,
-    SUMMARY_CSV_COLUMNS,
     SHUFFLE_MODES,
     SWEEP_CSV_COLUMNS,
     ExperimentConfig,
     InfeasibleError,
     calibrate_csv_row,
-    estimate_csv_columns,
     estimate_csv_row,
     ratio_csv_row,
     ratio_experiment,
@@ -51,7 +46,7 @@ from .harness import (
     sweep_csv_rows,
     write_csv,
 )
-from .oracle import GraphStats, build_adjacency, compute_stats
+from .oracle import build_adjacency, compute_stats
 from .randomness import SeededSource, mix_seed
 
 
@@ -83,11 +78,10 @@ def _fmt(value: object) -> str:
     return str(value)
 
 
-def _line(columns: Sequence[str], row: Sequence[object], keys: Iterable[str] = ()) -> str:
+def _line(row: Mapping[str, object], keys: Iterable[str] = ()) -> str:
     """``column=value`` pairs of one table row, for ``keys`` (default: every
     column) in order."""
-    fields = dict(zip(columns, row))
-    return " ".join(f"{key}={_fmt(fields[key])}" for key in keys or columns)
+    return " ".join(f"{key}={_fmt(row[key])}" for key in keys or row)
 
 
 def _checked(convert: Callable[[str], float], accept: Callable[[float], bool],
@@ -115,10 +109,6 @@ def _parse_targets(text: str) -> list[float]:
         return [_target_rse(token) for token in text.split(",") if token.strip()]
     except ValueError as err:  # a bad float; ArgumentTypeError passes through
         raise argparse.ArgumentTypeError(f"bad target: {err}") from None
-
-
-def _stats_line(stats: GraphStats) -> str:
-    return _line(STATS_CSV_COLUMNS, stats_csv_row(stats))
 
 
 @contextmanager
@@ -151,8 +141,8 @@ def _staged_csv(csv_path: str | None) -> Iterator[IO[str] | None]:
         staged.unlink(missing_ok=True)
 
 
-def _report(csv_file: IO[str] | None, lines: Sequence[str], columns: Sequence[str],
-            rows: Sequence[Sequence[object]], *, table_on_stdout: bool = False,
+def _report(csv_file: IO[str] | None, lines: Sequence[str], columns: Collection[str],
+            rows: Sequence[Mapping[str, object]], *, table_on_stdout: bool = False,
             note: str | None = None) -> int:
     """Print ``lines`` (then the table, with ``table_on_stdout``), write the
     table to ``csv_file`` and print ``note`` to stderr."""
@@ -168,10 +158,8 @@ def _report(csv_file: IO[str] | None, lines: Sequence[str], columns: Sequence[st
 
 
 def _cmd_stats(args: argparse.Namespace, csv_file: IO[str] | None) -> int:
-    stats = compute_stats(build_adjacency(load_edge_list(args.input)))
-    return _report(
-        None, [_stats_line(stats)], STATS_CSV_COLUMNS, [stats_csv_row(stats)], table_on_stdout=True
-    )
+    row = stats_csv_row(compute_stats(build_adjacency(load_edge_list(args.input))))
+    return _report(None, [_line(row)], row.keys(), [row], table_on_stdout=True)
 
 
 def _require_pool(args: argparse.Namespace) -> None:
@@ -192,8 +180,8 @@ def _cmd_estimate(args: argparse.Namespace, csv_file: IO[str] | None) -> int:
         result = nes_run(stream, args.p, rng)
     else:
         result = pes_run(stream, args.p, args.pool, rng)
-    columns, row = estimate_csv_columns(result.method), estimate_csv_row(result)
-    return _report(csv_file, [_line(columns, row)], columns, [row])
+    row = estimate_csv_row(result)
+    return _report(csv_file, [_line(row)], row.keys(), [row])
 
 
 def _cmd_evaluate(args: argparse.Namespace, csv_file: IO[str] | None) -> int:
@@ -214,12 +202,12 @@ def _cmd_evaluate(args: argparse.Namespace, csv_file: IO[str] | None) -> int:
     if config.pool is None:
         setup.remove("pool")
     lines = [
-        _line(SUMMARY_CSV_COLUMNS, row, setup),
-        _stats_line(summary.stats),
-        _line(SUMMARY_CSV_COLUMNS, row, ("mean_estimate", "observed_rse",
-              "mean_triangles_observed", "mean_sample_size", "predicted_rse")),
+        _line(row, setup),
+        _line(stats_csv_row(summary.stats)),
+        _line(row, ("mean_estimate", "observed_rse", "mean_triangles_observed",
+                    "mean_sample_size", "predicted_rse")),
     ]
-    return _report(csv_file, lines, SUMMARY_CSV_COLUMNS, [row])
+    return _report(csv_file, lines, row.keys(), [row])
 
 
 def _cmd_compare(args: argparse.Namespace, csv_file: IO[str] | None) -> int:
@@ -235,14 +223,13 @@ def _cmd_compare(args: argparse.Namespace, csv_file: IO[str] | None) -> int:
     )
     row = ratio_csv_row(report)
     lines = [
-        _line(RATIO_CSV_COLUMNS, row, ("target_rse", "runs", "nes_p", "pes_p", "pes_pool",
-                                       "saturated")),
-        _stats_line(report.stats),
-        _line(RATIO_CSV_COLUMNS, row, ("nes_observed_rse", "pes_observed_rse",
-              "observed_size_ratio", "observed_probability_ratio", "predicted_ratio")),
+        _line(row, ("target_rse", "runs", "nes_p", "pes_p", "pes_pool", "saturated")),
+        _line(stats_csv_row(report.stats)),
+        _line(row, ("nes_observed_rse", "pes_observed_rse", "observed_size_ratio",
+                    "observed_probability_ratio", "predicted_ratio")),
     ]
     note = "calibration clamped at p = 1; ratios are not meaningful" if report.saturated else None
-    return _report(csv_file, lines, RATIO_CSV_COLUMNS, [row], note=note)
+    return _report(csv_file, lines, row.keys(), [row], note=note)
 
 
 def _cmd_sweep(args: argparse.Namespace, csv_file: IO[str] | None) -> int:
@@ -271,11 +258,10 @@ def _cmd_calibrate(args: argparse.Namespace, csv_file: IO[str] | None) -> int:
         note = f"variance prediction unavailable: {err}"
     row = calibrate_csv_row(args.target_rse, nes_cal, pes_cal, pool_rule, variance, rse_full)
     lines = [
-        _stats_line(stats),
-        _line(CALIBRATE_CSV_COLUMNS, row, ("nes_p", "nes_clamped", "pes_p", "pes_pool",
-                                           "pes_clamped", "pool_rule_n")),
+        _line(stats_csv_row(stats)),
+        _line(row, ("nes_p", "nes_clamped", "pes_p", "pes_pool", "pes_clamped", "pool_rule_n")),
     ]
-    return _report(csv_file, lines, CALIBRATE_CSV_COLUMNS, [row], table_on_stdout=True, note=note)
+    return _report(csv_file, lines, row.keys(), [row], table_on_stdout=True, note=note)
 
 
 def build_parser() -> argparse.ArgumentParser:

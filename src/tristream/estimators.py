@@ -70,7 +70,10 @@ class WedgePool:
         self, outer: NodeId, center: NodeId, others: Iterable[NodeId], rng: RandomSource
     ) -> float | None:
         """Offer the candidate wedge (outer, center, other) for each ``other``
-        in order, skipping ``other == outer``, which is no wedge.
+        in order.  No ``other`` may equal ``outer``: it would be counted and
+        offered as a candidate though it forms no wedge.  ``pes_run`` offers
+        an edge's candidates before the edge joins its subgraph, so its
+        neighbor lists never hold the edge.
 
         Each candidate offered to a full pool draws one ``uniform()``, and each
         one it admits one ``randrange(capacity)``.  Returns the replacement
@@ -81,8 +84,6 @@ class WedgePool:
         count = self.candidate_count
         uniform = rng.uniform
         for other in others:
-            if other == outer:
-                continue
             count += 1
             if count > capacity:
                 if uniform() < capacity / count:
@@ -182,8 +183,8 @@ class EstimateResult:
     estimate: float
     p: float
     q: float | None
-    triangles_observed: int
     candidate_wedges: int | None
+    triangles_observed: int
     subgraph_edges: int
     pool_size: int | None
     sample_size: int
@@ -225,8 +226,8 @@ def nes_run(stream: EdgeList, p: float, rng: RandomSource) -> EstimateResult:
         estimate=closed / (p * p),
         p=p,
         q=None,
-        triangles_observed=closed,
         candidate_wedges=None,
+        triangles_observed=closed,
         subgraph_edges=kept,
         pool_size=None,
         sample_size=kept,
@@ -243,30 +244,29 @@ def pes_run(
     pool_size: int,
     rng: RandomSource,
     *,
-    audit: bool = False,
     on_step: StepHook | None = None,
 ) -> EstimateResult:
     """Priority edge sampling over one pass of ``stream``.
 
-    Per edge, in order: (1) admit it to the subgraph with probability ``p``;
-    (2) close any pool wedge whose outer endpoints it joins; (3) form one
-    candidate wedge with every subgraph edge sharing exactly one endpoint
-    and offer each to the reservoir.  Candidate formation consults the
-    subgraph regardless of whether the current edge itself was admitted,
-    and the edge never pairs with itself.
+    Per edge, in order: (1) draw whether it joins the subgraph, with
+    probability ``p``; (2) close any pool wedge whose outer endpoints it
+    joins; (3) form one candidate wedge with every subgraph edge sharing
+    exactly one endpoint and offer each to the reservoir; (4) add the edge
+    to the subgraph if it was drawn.  Candidates are thus formed from the
+    subgraph of the earlier edges, whether or not the current edge is
+    admitted, and the edge never pairs with itself.
 
     The subgraph is ``incidence``, which maps each node to its sampled
     neighbors in ascending order, kept sorted on insert so that candidates
     are offered in a fixed order without a sort per stream edge.  It and
     the pool's lazy pair index rely on every stream edge arriving once, as
     an :class:`EdgeList` promises: a repeated edge would list a neighbor
-    twice, and the index drops a pair's entries at the one lookup the
+    twice and pair with its own earlier copy, and the index drops a pair's entries at the one lookup the
     pair's edge makes.
 
     The final estimate divides the closed count by ``p * q`` where ``q`` is
-    the pool's final retention probability.  ``audit=True`` re-verifies the
-    pool bookkeeping after every edge; ``on_step`` is called after each edge
-    with (1-based step, edge, incidence, pool), for trace tests.
+    the pool's final retention probability.  ``on_step`` is called after
+    each edge with (1-based step, edge, incidence, pool), for trace tests.
     """
     _check_probability(p)
     incidence: dict[NodeId, list[NodeId]] = {}
@@ -278,10 +278,7 @@ def pes_run(
     kept = 0
     for step, edge in enumerate(stream.edges, start=1):
         x, y = edge
-        if uniform() < p:
-            insort(incidence.setdefault(x, []), y)
-            insort(incidence.setdefault(y, []), x)
-            kept += 1
+        admitted = uniform() < p
         close_matching(edge)
         others = sorted_neighbors(x)
         if others:
@@ -289,8 +286,10 @@ def pes_run(
         others = sorted_neighbors(y)
         if others:
             offer_all(x, y, others, rng)
-        if audit:
-            pool.audit()
+        if admitted:
+            insort(incidence.setdefault(x, []), y)
+            insort(incidence.setdefault(y, []), x)
+            kept += 1
         if on_step is not None:
             on_step(step, edge, incidence, pool)
     q = pool.retention_probability()
@@ -300,8 +299,8 @@ def pes_run(
         estimate=triangles / (p * q),
         p=p,
         q=q,
-        triangles_observed=triangles,
         candidate_wedges=pool.candidate_count,
+        triangles_observed=triangles,
         subgraph_edges=kept,
         pool_size=len(pool),
         sample_size=kept + len(pool),

@@ -12,10 +12,10 @@ from __future__ import annotations
 import csv
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import astuple, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from statistics import fmean
-from typing import IO, Iterable, Sequence
+from typing import IO, Collection, Iterable, Mapping, Sequence
 
 from .analysis import (
     CalibrationResult,
@@ -32,96 +32,13 @@ from .estimators import EstimateResult, nes_run, pes_run
 from .oracle import GraphStats, build_adjacency, compute_stats
 from .randomness import SeededSource, mix_seed
 
-DEFAULT_EDGE_BUDGET = 500_000
-
 METHODS = ("nes", "pes")
 SHUFFLE_MODES = ("per-run", "fixed")
 
-STATS_CSV_COLUMNS = ("N", "M", "triangles", "wedges", "shared_pairs", "clustering")
-
-ESTIMATE_CSV_COLUMNS = (
-    "method",
-    "estimate",
-    "p",
-    "q",
-    "candidate_wedges",
-    "triangles_observed",
-    "subgraph_edges",
-    "pool_size",
-    "sample_size",
-    "estimated_rse",
-)
-
-SUMMARY_CSV_COLUMNS = (
-    "method",
-    "p",
-    "pool",
-    "runs",
-    "base_seed",
-    "shuffle",
-    "mean_estimate",
-    "observed_rse",
-    "mean_triangles_observed",
-    "mean_sample_size",
-    "predicted_rse",
-    "oracle_nodes",
-    "oracle_edges",
-    "oracle_triangles",
-    "oracle_wedges",
-    "oracle_shared_pairs",
-    "oracle_clustering",
-)
-
-SWEEP_CSV_COLUMNS = (
-    "target_rse",
-    "observed_rse",
-    "predicted_rse",
-    "mean_triangles_observed",
-    "mean_sample_size",
-)
-
-RATIO_CSV_COLUMNS = (
-    "input",
-    "nodes",
-    "edges",
-    "triangles",
-    "wedges",
-    "clustering",
-    "size_times_clustering",
-    "target_rse",
-    "runs",
-    "nes_p",
-    "pes_p",
-    "pes_pool",
-    "saturated",
-    "nes_observed_rse",
-    "pes_observed_rse",
-    "nes_mean_sample_size",
-    "pes_mean_sample_size",
-    "observed_size_ratio",
-    "observed_probability_ratio",
-    "predicted_ratio",
-)
-
-CALIBRATE_CSV_COLUMNS = (
-    "target_rse",
-    "nes_p",
-    "nes_clamped",
-    "pes_p",
-    "pes_pool",
-    "pes_clamped",
-    "pool_rule_n",
-    "predicted_var_total",
-    "predicted_var_unit",
-    "predicted_var_shared",
-    "predicted_var_indep",
-    "predicted_rse_full",
-)
-
 
 class InfeasibleError(RuntimeError):
-    """The experiment cannot run as configured (no triangles, too few runs,
-    or the exact oracle would exceed its edge budget)."""
+    """The experiment cannot run as configured (no triangles or too few
+    runs)."""
 
 
 class ExperimentRunError(ValueError):
@@ -197,8 +114,10 @@ class SweepRow:
     predicted_rse: float | None
     mean_triangles_observed: float
     mean_sample_size: float
-    p: float
-    pool: int | None
+
+
+# Kept apart from the row function: an empty sweep still prints its header.
+SWEEP_CSV_COLUMNS = tuple(field.name for field in fields(SweepRow))
 
 
 @dataclass(frozen=True)
@@ -254,27 +173,14 @@ def _execute_runs(stream: EdgeList, config: ExperimentConfig) -> tuple[EstimateR
         return tuple(executor.map(_worker_run, range(config.runs), chunksize=chunksize))
 
 
-def _oracle_stats(edges: EdgeList, edge_budget: int) -> GraphStats:
-    if edges.edge_count > edge_budget:
-        raise InfeasibleError(
-            f"exact oracle refused: {edges.edge_count} edges exceed the "
-            f"budget of {edge_budget} (raise the budget to override)"
-        )
-    return compute_stats(build_adjacency(edges))
-
-
 def run_experiment(
-    edges: EdgeList,
-    config: ExperimentConfig,
-    *,
-    edge_budget: int = DEFAULT_EDGE_BUDGET,
-    stats: GraphStats | None = None,
+    edges: EdgeList, config: ExperimentConfig, *, stats: GraphStats | None = None
 ) -> RunSummary:
     """Execute k seeded runs and summarize them against the exact oracle.
 
     ``stats`` short-circuits the oracle when the caller already computed it.
     """
-    truth = stats if stats is not None else _oracle_stats(edges, edge_budget)
+    truth = stats if stats is not None else compute_stats(build_adjacency(edges))
     if config.runs < 2:
         raise InfeasibleError(
             f"insufficient runs: observed RSE needs k >= 2, got k = {config.runs}"
@@ -325,7 +231,6 @@ def ratio_experiment(
     jobs: int = 1,
     shuffle: str = "per-run",
     input_name: str = "",
-    edge_budget: int = DEFAULT_EDGE_BUDGET,
 ) -> RatioReport:
     """Calibrate both estimators to ``target_rse``, run k trials of each on
     identically ordered streams, and compare against the predicted ratio.
@@ -334,7 +239,7 @@ def ratio_experiment(
     mean subgraph sizes (each estimates p * M).  A calibration clamped at
     p = 1 marks the report saturated: the ratio is not meaningful there.
     """
-    truth = _oracle_stats(edges, edge_budget)
+    truth = compute_stats(build_adjacency(edges))
     if truth.triangles == 0:
         raise InfeasibleError("ratio experiment refused: graph has no triangles (triangle count = 0)")
     common = dict(runs=runs, base_seed=base_seed, shuffle=shuffle, jobs=jobs)
@@ -375,13 +280,12 @@ def rse_sweep(
     *,
     jobs: int = 1,
     shuffle: str = "per-run",
-    edge_budget: int = DEFAULT_EDGE_BUDGET,
 ) -> SweepReport:
     """One calibrated experiment per target RSE; empty targets yield an
     empty report."""
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
-    truth = _oracle_stats(edges, edge_budget)
+    truth = compute_stats(build_adjacency(edges))
     if targets and truth.triangles == 0:
         raise InfeasibleError("sweep refused: graph has no triangles (triangle count = 0)")
     rows: list[SweepRow] = []
@@ -397,8 +301,6 @@ def rse_sweep(
                 predicted_rse=summary.predicted_rse,
                 mean_triangles_observed=summary.mean_triangles_observed,
                 mean_sample_size=summary.mean_sample_size,
-                p=config.p,
-                pool=config.pool,
             )
         )
     return SweepReport(
@@ -407,10 +309,11 @@ def rse_sweep(
 
 
 # ---------------------------------------------------------------------------
-# CSV emission.  Each schema is one column tuple and one row function; every
-# table, on stdout or in a file, goes through write_csv.  Floats are
-# serialized with 17 significant digits so that parsing an emitted file
-# reproduces every numeric field exactly.
+# CSV emission.  Each table is one row function returning a dict in column
+# order, whose keys are the table's columns; every table, on stdout or in a
+# file, goes through write_csv.  Floats are serialized with 17 significant
+# digits so that parsing an emitted file reproduces every numeric field
+# exactly.
 # ---------------------------------------------------------------------------
 
 
@@ -424,126 +327,87 @@ def format_csv_value(value: object) -> str:
     return str(value)
 
 
-def write_csv(handle: IO[str], columns: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
-    """Write a header line, then one line per row, to an open text stream."""
+def write_csv(handle: IO[str], columns: Collection[str],
+              rows: Iterable[Mapping[str, object]]) -> None:
+    """Write a header line, then each row's values for ``columns``, to an
+    open text stream; a row without one of the columns raises KeyError."""
     writer = csv.writer(handle, lineterminator="\n")
     writer.writerow(columns)
     for row in rows:
-        writer.writerow([format_csv_value(value) for value in row])
+        writer.writerow([format_csv_value(row[column]) for column in columns])
 
 
-def stats_csv_row(stats: GraphStats) -> tuple[object, ...]:
-    """The GraphStats fields, which are in STATS_CSV_COLUMNS order."""
-    return astuple(stats)
+def stats_csv_row(stats: GraphStats) -> dict[str, object]:
+    return dict(N=stats.node_count, M=stats.edge_count, triangles=stats.triangles,
+                wedges=stats.wedges, shared_pairs=stats.shared_pairs,
+                clustering=stats.clustering)
 
 
-def estimate_csv_columns(method: str) -> tuple[str, ...]:
-    """The estimate schema for ``method``: the naive method has no reservoir,
-    so its rows leave out the pool columns."""
-    if method == "pes":
-        return ESTIMATE_CSV_COLUMNS
-    pool_columns = ("q", "candidate_wedges", "pool_size")
-    return tuple(column for column in ESTIMATE_CSV_COLUMNS if column not in pool_columns)
+def estimate_csv_row(result: EstimateResult) -> dict[str, object]:
+    """The result's fields; the naive method has no reservoir, so its row
+    leaves out the pool columns."""
+    row = asdict(result)
+    if result.method == "nes":
+        for column in ("q", "candidate_wedges", "pool_size"):
+            del row[column]
+    return row
 
 
-def estimate_csv_row(result: EstimateResult) -> tuple[object, ...]:
-    return tuple(getattr(result, column) for column in estimate_csv_columns(result.method))
-
-
-def summary_csv_row(summary: RunSummary) -> tuple[object, ...]:
+def summary_csv_row(summary: RunSummary) -> dict[str, object]:
     config, truth = summary.config, summary.stats
-    return (
-        config.method,
-        config.p,
-        config.pool,
-        config.runs,
-        config.base_seed,
-        config.shuffle,
-        summary.mean_estimate,
-        summary.observed_rse,
-        summary.mean_triangles_observed,
-        summary.mean_sample_size,
-        summary.predicted_rse,
-        *stats_csv_row(truth),
+    return dict(
+        method=config.method, p=config.p, pool=config.pool, runs=config.runs,
+        base_seed=config.base_seed, shuffle=config.shuffle,
+        mean_estimate=summary.mean_estimate,
+        observed_rse=summary.observed_rse,
+        mean_triangles_observed=summary.mean_triangles_observed,
+        mean_sample_size=summary.mean_sample_size,
+        predicted_rse=summary.predicted_rse,
+        oracle_nodes=truth.node_count, oracle_edges=truth.edge_count,
+        oracle_triangles=truth.triangles, oracle_wedges=truth.wedges,
+        oracle_shared_pairs=truth.shared_pairs, oracle_clustering=truth.clustering,
     )
 
 
 def write_summary_csv(summary: RunSummary, path: str | Path) -> None:
+    row = summary_csv_row(summary)
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        write_csv(handle, SUMMARY_CSV_COLUMNS, [summary_csv_row(summary)])
+        write_csv(handle, row.keys(), [row])
 
 
-def read_summary_csv(path: str | Path) -> list[dict[str, object]]:
-    """Parse a summary CSV back into typed values (exact float round-trip)."""
-    int_columns = {
-        "pool", "runs", "base_seed",
-        "oracle_nodes", "oracle_edges", "oracle_triangles",
-        "oracle_wedges", "oracle_shared_pairs",
-    }
-    text_columns = {"method", "shuffle"}
-    rows: list[dict[str, object]] = []
-    with open(path, newline="", encoding="utf-8") as handle:
-        for raw in csv.DictReader(handle):
-            row: dict[str, object] = {}
-            for key, value in raw.items():
-                if value == "":
-                    row[key] = None
-                elif key in text_columns:
-                    row[key] = value
-                elif key in int_columns:
-                    row[key] = int(value)
-                else:
-                    row[key] = float(value)
-            rows.append(row)
-    return rows
+def sweep_csv_rows(report: SweepReport) -> list[dict[str, object]]:
+    return [asdict(row) for row in report.rows]
 
 
-def sweep_csv_rows(report: SweepReport) -> list[tuple[object, ...]]:
-    return [
-        (
-            row.target_rse,
-            row.observed_rse,
-            row.predicted_rse,
-            row.mean_triangles_observed,
-            row.mean_sample_size,
-        )
-        for row in report.rows
-    ]
-
-
-def ratio_csv_row(report: RatioReport) -> tuple[object, ...]:
-    truth = report.stats
-    return (
-        report.input_name,
-        truth.node_count,
-        truth.edge_count,
-        truth.triangles,
-        truth.wedges,
-        truth.clustering,
-        truth.node_count * truth.clustering,
-        report.target_rse,
-        report.runs,
-        report.nes_p,
-        report.pes_p,
-        report.pes_pool,
-        report.saturated,
-        report.nes_summary.observed_rse,
-        report.pes_summary.observed_rse,
-        report.nes_summary.mean_sample_size,
-        report.pes_summary.mean_sample_size,
-        report.observed_size_ratio,
-        report.observed_probability_ratio,
-        report.predicted_ratio,
+def ratio_csv_row(report: RatioReport) -> dict[str, object]:
+    truth, nes, pes = report.stats, report.nes_summary, report.pes_summary
+    return dict(
+        input=report.input_name,
+        nodes=truth.node_count, edges=truth.edge_count, triangles=truth.triangles,
+        wedges=truth.wedges, clustering=truth.clustering,
+        size_times_clustering=truth.node_count * truth.clustering,
+        target_rse=report.target_rse, runs=report.runs,
+        nes_p=report.nes_p, pes_p=report.pes_p, pes_pool=report.pes_pool,
+        saturated=report.saturated,
+        nes_observed_rse=nes.observed_rse, pes_observed_rse=pes.observed_rse,
+        nes_mean_sample_size=nes.mean_sample_size, pes_mean_sample_size=pes.mean_sample_size,
+        observed_size_ratio=report.observed_size_ratio,
+        observed_probability_ratio=report.observed_probability_ratio,
+        predicted_ratio=report.predicted_ratio,
     )
 
 
 def calibrate_csv_row(target_rse: float, nes: CalibrationResult, pes: PesCalibration,
                       pool_rule: int, variance: VarianceBreakdown | None,
-                      rse_full: float | None) -> tuple[object, ...]:
+                      rse_full: float | None) -> dict[str, object]:
     """Calibrated parameters and, when the theory applies, the predicted
     variance terms; absent predictions stay None."""
-    terms = (None,) * 4
-    if variance is not None:
-        terms = (variance.total, variance.term_unit, variance.term_shared, variance.term_indep)
-    return (target_rse, nes.value, nes.clamped, pes.p, pes.pool, pes.clamped, pool_rule,
-            *terms, rse_full)
+    return dict(
+        target_rse=target_rse, nes_p=nes.value, nes_clamped=nes.clamped,
+        pes_p=pes.p, pes_pool=pes.pool, pes_clamped=pes.clamped, pool_rule_n=pool_rule,
+        predicted_var_total=variance.total if variance else None,
+        predicted_var_unit=variance.term_unit if variance else None,
+        predicted_var_shared=variance.term_shared if variance else None,
+        predicted_var_indep=variance.term_indep if variance else None,
+        predicted_rse_full=rse_full,
+    )

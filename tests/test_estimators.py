@@ -28,6 +28,11 @@ from conftest import TOY_REPLAY_DECISIONS, TOY_REPLAY_SLOT_PICKS
 import reference
 
 
+def audit_pool(step, edge, incidence, pool):
+    """An ``on_step`` hook that re-verifies the pool bookkeeping after each edge."""
+    pool.audit()
+
+
 # ---------------------------------------------------------------------------
 # Scripted replay of the worked trace (p=0.2, pool capacity 2).
 # ---------------------------------------------------------------------------
@@ -35,7 +40,7 @@ import reference
 
 def test_scripted_replay_final_state(toy_replay_stream):
     rng = ScriptedSource(TOY_REPLAY_DECISIONS, TOY_REPLAY_SLOT_PICKS)
-    result = pes_run(toy_replay_stream, 0.2, 2, rng, audit=True)
+    result = pes_run(toy_replay_stream, 0.2, 2, rng, on_step=audit_pool)
     assert result.candidate_wedges == 8
     assert result.q == 0.25
     assert result.triangles_observed == 1
@@ -196,10 +201,12 @@ def test_eviction_of_closed_wedge_decrements_count():
     stream = EdgeList((make_edge(1, 2), make_edge(2, 3), make_edge(1, 3)))
     rng = ScriptedSource([True, True, True, True, False], [0])
     states = []
-    result = pes_run(
-        stream, 1.0, 1, rng, audit=True,
-        on_step=lambda step, e, g, pool: states.append((pool.closed_count, tuple(pool.wedge_keys()))),
-    )
+
+    def record(step, edge, incidence, pool):
+        pool.audit()
+        states.append((pool.closed_count, tuple(pool.wedge_keys())))
+
+    result = pes_run(stream, 1.0, 1, rng, on_step=record)
     assert states[1] == (0, ((1, 2, 3),))
     assert states[2] == (0, ((2, 1, 3),))
     assert result.triangles_observed == 0
@@ -300,7 +307,7 @@ streams = st.lists(st.tuples(nodes, nodes), min_size=5, max_size=60).map(
 )
 @settings(max_examples=200, deadline=None)
 def test_pes_run_equals_per_candidate_reference(stream, p, capacity, seed):
-    result = pes_run(stream, p, capacity, SeededSource(seed), audit=True)
+    result = pes_run(stream, p, capacity, SeededSource(seed), on_step=audit_pool)
     assert result == reference.reference_pes_run(stream, p, capacity, SeededSource(seed))
 
 
@@ -338,7 +345,7 @@ def test_scripted_source_consumes_one_decision_per_edge_and_late_candidate(
     decisions = [script.uniform() < 0.5 for _ in range(length)]
     picks = [script.randrange(capacity) for _ in range(length)]
     counted = _CountingSource(ScriptedSource(decisions, picks))
-    result = pes_run(stream, 0.5, capacity, counted, audit=True)
+    result = pes_run(stream, 0.5, capacity, counted, on_step=audit_pool)
     late_candidates = max(0, result.candidate_wedges - capacity)
     assert counted.uniforms == stream.edge_count + late_candidates
     # Replaying exactly the consumed prefix repeats the run and uses it up.
@@ -351,7 +358,7 @@ def test_pool_bookkeeping_audit_over_random_runs():
     for seed in range(8):
         graph = erdos_renyi(25, 0.4, seed=seed)
         stream = shuffle_stream(graph, seed)
-        pes_run(stream, 0.6, 15, SeededSource(seed), audit=True)
+        pes_run(stream, 0.6, 15, SeededSource(seed), on_step=audit_pool)
 
 
 def test_reservoir_retention_uniformity_light():

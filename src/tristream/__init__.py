@@ -40,7 +40,6 @@ from .estimators import (
 from .generators import barabasi_albert, complete_graph, cycle_graph, erdos_renyi
 from .harness import (
     ExperimentConfig,
-    ExperimentRunError,
     InfeasibleError,
     RatioReport,
     RunSummary,
@@ -49,6 +48,7 @@ from .harness import (
     ratio_experiment,
     run_experiment,
     rse_sweep,
+    single_run,
     write_summary_csv,
 )
 from .oracle import (
@@ -68,7 +68,6 @@ __all__ = [
     "EdgeList",
     "EstimateResult",
     "ExperimentConfig",
-    "ExperimentRunError",
     "GraphStats",
     "InfeasibleError",
     "ParseError",
@@ -110,5 +109,6 @@ __all__ = [
     "run_experiment",
     "serialize_edge_list",
     "shuffle_stream",
+    "single_run",
     "write_summary_csv",
 ]

@@ -28,8 +28,7 @@ from .analysis import (
     pes_rse_full,
     pes_variance,
 )
-from .edgelist import ParseError, load_edge_list, shuffle_stream
-from .estimators import nes_run, pes_run
+from .edgelist import ParseError, load_edge_list
 from .harness import (
     SHUFFLE_MODES,
     SWEEP_CSV_COLUMNS,
@@ -41,13 +40,13 @@ from .harness import (
     ratio_experiment,
     run_experiment,
     rse_sweep,
+    single_run,
     stats_csv_row,
     summary_csv_row,
     sweep_csv_rows,
     write_csv,
 )
 from .oracle import build_adjacency, compute_stats
-from .randomness import SeededSource, mix_seed
 
 
 class ExitStatus(IntEnum):
@@ -98,6 +97,7 @@ def _checked(convert: Callable[[str], float], accept: Callable[[float], bool],
 
 
 _count = _checked(int, lambda value: value >= 1, "must be >= 1")
+_seed = _checked(int, lambda value: value >= 0, "must be >= 0")
 _probability = _checked(float, lambda value: 0.0 < value <= 1.0, "must lie in (0, 1]")
 _target_rse = _checked(
     float, lambda value: math.isfinite(value) and value > 0, "must be finite and > 0"
@@ -171,32 +171,22 @@ def _require_pool(args: argparse.Namespace) -> None:
 
 def _cmd_estimate(args: argparse.Namespace, csv_file: IO[str] | None) -> int:
     _require_pool(args)
-    edges = load_edge_list(args.input)
-    stream = edges
-    if args.shuffle == "per-run":
-        stream = shuffle_stream(edges, mix_seed(args.seed))
-    rng = SeededSource(args.seed)
-    if args.method == "nes":
-        result = nes_run(stream, args.p, rng)
-    else:
-        result = pes_run(stream, args.p, args.pool, rng)
-    row = estimate_csv_row(result)
+    # Run 0 of the experiment seeded by --seed; "fixed" keeps the file order.
+    config = ExperimentConfig(
+        method=args.method, p=args.p, pool=args.pool, runs=1, base_seed=args.seed,
+        shuffle="fixed" if args.shuffle == "none" else "per-run",
+    )
+    row = estimate_csv_row(single_run(load_edge_list(args.input), config))
     return _report(csv_file, [_line(row)], row.keys(), [row])
 
 
 def _cmd_evaluate(args: argparse.Namespace, csv_file: IO[str] | None) -> int:
     _require_pool(args)
-    edges = load_edge_list(args.input)
     config = ExperimentConfig(
-        method=args.method,
-        p=args.p,
-        pool=args.pool,
-        runs=args.runs,
-        base_seed=args.seed,
-        shuffle=args.shuffle,
-        jobs=args.jobs,
+        method=args.method, p=args.p, pool=args.pool, runs=args.runs, base_seed=args.seed,
+        shuffle=args.shuffle, jobs=args.jobs,
     )
-    summary = run_experiment(edges, config)
+    summary = run_experiment(load_edge_list(args.input), config)
     row = summary_csv_row(summary)
     setup = ["method", "p", "pool", "runs", "base_seed", "shuffle"]
     if config.pool is None:
@@ -277,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
             sub.add_argument("--csv", default=None, help="also write results to this CSV file")
 
     def experiment(sub: argparse.ArgumentParser) -> None:
-        sub.add_argument("--seed", type=int, default=0)
+        sub.add_argument("--seed", type=_seed, default=0)
         sub.add_argument("--runs", type=_count, default=1000)
         sub.add_argument("--jobs", type=_count, default=1)
         sub.add_argument("--shuffle", choices=SHUFFLE_MODES, default="per-run")
@@ -293,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
                               help="edge sampling probability")
     estimate_cmd.add_argument("--pool", type=_count, default=None,
                               help="wedge pool capacity (pes)")
-    estimate_cmd.add_argument("--seed", type=int, default=0)
+    estimate_cmd.add_argument("--seed", type=_seed, default=0)
     estimate_cmd.add_argument("--shuffle", choices=("per-run", "none"), default="per-run")
     estimate_cmd.set_defaults(handler=_cmd_estimate)
 

@@ -68,7 +68,7 @@ class WedgePool:
 
     def offer_all(
         self, outer: NodeId, center: NodeId, others: Iterable[NodeId], rng: RandomSource
-    ) -> float | None:
+    ) -> None:
         """Offer the candidate wedge (outer, center, other) for each ``other``
         in order.  No ``other`` may equal ``outer``: it would be counted and
         offered as a candidate though it forms no wedge.  ``pes_run`` offers
@@ -76,9 +76,7 @@ class WedgePool:
         neighbor lists never hold the edge.
 
         Each candidate offered to a full pool draws one ``uniform()``, and each
-        one it admits one ``randrange(capacity)``.  Returns the replacement
-        probability ``capacity / candidate_count`` once the pool has
-        overflowed, or None while every candidate still fits.
+        one it admits one ``randrange(capacity)``.
         """
         capacity = self.capacity
         count = self.candidate_count
@@ -91,7 +89,6 @@ class WedgePool:
             else:
                 self._append(outer, center, other)
         self.candidate_count = count
-        return capacity / count if count > capacity else None
 
     def _append(self, outer: NodeId, center: NodeId, other: NodeId) -> None:
         pair = (outer, other) if outer <= other else (other, outer)

@@ -28,7 +28,7 @@ from .analysis import (
     pes_rse_simple,
 )
 from .edgelist import EdgeList, shuffle_stream
-from .estimators import EstimateResult, nes_run, pes_run
+from .estimators import EstimateResult, _check_probability, nes_run, pes_run
 from .oracle import GraphStats, build_adjacency, compute_stats
 from .randomness import SeededSource, mix_seed
 
@@ -41,19 +41,11 @@ class InfeasibleError(RuntimeError):
     runs)."""
 
 
-class ExperimentRunError(ValueError):
-    """An estimator failed inside a run; names the run index."""
-
-    def __init__(self, run_index: int, cause: Exception):
-        super().__init__(run_index, cause)  # both in args: a worker's error unpickles
-        self.run_index = run_index
-
-    def __str__(self) -> str:
-        return f"run {self.run_index}: {self.args[1]}"
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One seeded experiment, checked in full here so that no run of it can
+    fail on its parameters."""
+
     method: str
     p: float
     pool: int | None = None
@@ -67,12 +59,18 @@ class ExperimentConfig:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
         if self.shuffle not in SHUFFLE_MODES:
             raise ValueError(f"shuffle must be one of {SHUFFLE_MODES}, got {self.shuffle!r}")
+        _check_probability(self.p)
         if self.method == "pes" and self.pool is None:
             raise ValueError("pes needs a pool size")
+        if self.method == "pes" and self.pool < 1:
+            raise ValueError(f"pool must be >= 1, got {self.pool}")
         if self.runs < 1:
             raise ValueError(f"runs must be >= 1, got {self.runs}")
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
+        # random.Random seeds with |seed|, so seed -s would repeat run s.
+        if self.base_seed < 0:
+            raise ValueError(f"base seed must be >= 0, got {self.base_seed}")
 
 
 @dataclass(frozen=True)
@@ -94,11 +92,6 @@ class RatioReport:
     input_name: str
     stats: GraphStats
     target_rse: float
-    runs: int
-    base_seed: int
-    nes_p: float
-    pes_p: float
-    pes_pool: int
     saturated: bool
     nes_summary: RunSummary
     pes_summary: RunSummary
@@ -122,27 +115,24 @@ SWEEP_CSV_COLUMNS = tuple(field.name for field in fields(SweepRow))
 
 @dataclass(frozen=True)
 class SweepReport:
-    method: str
-    runs: int
-    base_seed: int
     stats: GraphStats
     rows: tuple[SweepRow, ...]
 
 
-def _single_run(stream: EdgeList, config: ExperimentConfig, index: int) -> EstimateResult:
+def single_run(stream: EdgeList, config: ExperimentConfig, index: int = 0) -> EstimateResult:
+    """Run ``index`` of the experiment, seeded with ``base_seed + index``.
+
+    Under ``shuffle="per-run"`` the run streams its own permutation of
+    ``stream``, seeded by ``mix_seed`` of the run seed; under ``"fixed"`` it
+    takes ``stream`` in the order given.
+    """
     run_seed = config.base_seed + index
     if config.shuffle == "per-run":
-        ordered = shuffle_stream(stream, mix_seed(run_seed))
-    else:
-        ordered = stream
+        stream = shuffle_stream(stream, mix_seed(run_seed))
     rng = SeededSource(run_seed)
-    try:
-        if config.method == "nes":
-            return nes_run(ordered, config.p, rng)
-        assert config.pool is not None
-        return pes_run(ordered, config.p, config.pool, rng)
-    except ValueError as err:
-        raise ExperimentRunError(index, err) from err
+    if config.method == "nes":
+        return nes_run(stream, config.p, rng)
+    return pes_run(stream, config.p, config.pool, rng)
 
 
 # The stream and config of the experiment a worker process serves, set once
@@ -157,7 +147,7 @@ def _init_worker(stream: EdgeList, config: ExperimentConfig) -> None:
 
 def _worker_run(index: int) -> EstimateResult:
     assert _worker_task is not None, "worker process was not initialized"
-    return _single_run(*_worker_task, index)
+    return single_run(*_worker_task, index)
 
 
 def _execute_runs(stream: EdgeList, config: ExperimentConfig) -> tuple[EstimateResult, ...]:
@@ -165,7 +155,7 @@ def _execute_runs(stream: EdgeList, config: ExperimentConfig) -> tuple[EstimateR
     # cores would only add processes; results do not depend on the count.
     workers = min(config.jobs, config.runs, os.cpu_count() or 1)
     if workers <= 1:
-        return tuple(_single_run(stream, config, index) for index in range(config.runs))
+        return tuple(single_run(stream, config, index) for index in range(config.runs))
     chunksize = max(1, config.runs // (workers * 8))
     with ProcessPoolExecutor(
         max_workers=workers, initializer=_init_worker, initargs=(stream, config)
@@ -180,11 +170,11 @@ def run_experiment(
 
     ``stats`` short-circuits the oracle when the caller already computed it.
     """
-    truth = stats if stats is not None else compute_stats(build_adjacency(edges))
     if config.runs < 2:
         raise InfeasibleError(
             f"insufficient runs: observed RSE needs k >= 2, got k = {config.runs}"
         )
+    truth = stats if stats is not None else compute_stats(build_adjacency(edges))
     if truth.triangles == 0:
         raise InfeasibleError("observed RSE undefined: graph has no triangles")
     stream = edges
@@ -211,7 +201,9 @@ def calibrated_config(method: str, truth: GraphStats, target_rse: float, *, runs
     """An experiment of ``method`` calibrated to ``target_rse`` on ``truth``:
     the naive p from :func:`calibrate_nes`, or the priority (p, pool) from
     :func:`calibrate_pes`.  A calibration clamped at the p = 1 boundary
-    shows as ``p == 1.0``."""
+    shows as ``p == 1.0``.  A triangle-free graph is refused."""
+    if truth.triangles == 0:
+        raise InfeasibleError("calibration refused: graph has no triangles (triangle count = 0)")
     if method == "nes":
         p, pool = calibrate_nes(target_rse, truth.triangles).value, None
     else:
@@ -240,8 +232,6 @@ def ratio_experiment(
     p = 1 marks the report saturated: the ratio is not meaningful there.
     """
     truth = compute_stats(build_adjacency(edges))
-    if truth.triangles == 0:
-        raise InfeasibleError("ratio experiment refused: graph has no triangles (triangle count = 0)")
     common = dict(runs=runs, base_seed=base_seed, shuffle=shuffle, jobs=jobs)
     nes = calibrated_config("nes", truth, target_rse, **common)
     pes = calibrated_config("pes", truth, target_rse, **common)
@@ -257,11 +247,6 @@ def ratio_experiment(
         input_name=input_name,
         stats=truth,
         target_rse=target_rse,
-        runs=runs,
-        base_seed=base_seed,
-        nes_p=nes.p,
-        pes_p=pes.p,
-        pes_pool=pes.pool,
         saturated=nes.p == 1.0 or pes.p == 1.0,
         nes_summary=nes_summary,
         pes_summary=pes_summary,
@@ -286,8 +271,6 @@ def rse_sweep(
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
     truth = compute_stats(build_adjacency(edges))
-    if targets and truth.triangles == 0:
-        raise InfeasibleError("sweep refused: graph has no triangles (triangle count = 0)")
     rows: list[SweepRow] = []
     for target in targets:
         config = calibrated_config(
@@ -303,9 +286,7 @@ def rse_sweep(
                 mean_sample_size=summary.mean_sample_size,
             )
         )
-    return SweepReport(
-        method=method, runs=runs, base_seed=base_seed, stats=truth, rows=tuple(rows)
-    )
+    return SweepReport(stats=truth, rows=tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -386,8 +367,8 @@ def ratio_csv_row(report: RatioReport) -> dict[str, object]:
         nodes=truth.node_count, edges=truth.edge_count, triangles=truth.triangles,
         wedges=truth.wedges, clustering=truth.clustering,
         size_times_clustering=truth.node_count * truth.clustering,
-        target_rse=report.target_rse, runs=report.runs,
-        nes_p=report.nes_p, pes_p=report.pes_p, pes_pool=report.pes_pool,
+        target_rse=report.target_rse, runs=nes.config.runs,
+        nes_p=nes.config.p, pes_p=pes.config.p, pes_pool=pes.config.pool,
         saturated=report.saturated,
         nes_observed_rse=nes.observed_rse, pes_observed_rse=pes.observed_rse,
         nes_mean_sample_size=nes.mean_sample_size, pes_mean_sample_size=pes.mean_sample_size,

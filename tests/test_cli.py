@@ -14,8 +14,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tristream
-from tristream import barabasi_albert, cli, serialize_edge_list
+from tristream import (
+    ExperimentConfig,
+    SeededSource,
+    barabasi_albert,
+    cli,
+    load_edge_list,
+    nes_run,
+    pes_run,
+    run_experiment,
+    serialize_edge_list,
+)
 from tristream.cli import main
+from tristream.harness import estimate_csv_row
 
 from conftest import TOY_TEXT
 
@@ -189,6 +200,50 @@ def test_estimate_csv_row(capsys, toy_file, tmp_path):
     assert lines[1].startswith("pes,3,1,")
 
 
+ESTIMATE_METHODS = {"nes": [], "pes": ["--pool", "6"]}
+
+
+@pytest.mark.parametrize("method", ESTIMATE_METHODS)
+def test_estimate_is_run_zero_of_an_experiment(capsys, method):
+    code, out, _ = run_cli(
+        capsys, "estimate", "--method", method, "--p", "0.6", *ESTIMATE_METHODS[method],
+        "--seed", "41", "--input", str(TOY_GRAPH_FILE),
+    )
+    config = ExperimentConfig(method=method, p=0.6, pool=6 if method == "pes" else None,
+                              runs=2, base_seed=41)
+    run_zero = run_experiment(load_edge_list(TOY_GRAPH_FILE), config).results[0]
+    assert code == 0
+    assert out == cli._line(estimate_csv_row(run_zero)) + "\n"
+
+
+@pytest.mark.parametrize("method", ESTIMATE_METHODS)
+def test_estimate_shuffle_none_streams_the_file_order(capsys, method):
+    code, out, _ = run_cli(
+        capsys, "estimate", "--method", method, "--p", "0.6", *ESTIMATE_METHODS[method],
+        "--seed", "5", "--shuffle", "none", "--input", str(TOY_GRAPH_FILE),
+    )
+    edges = load_edge_list(TOY_GRAPH_FILE)
+    if method == "nes":
+        result = nes_run(edges, 0.6, SeededSource(5))
+    else:
+        result = pes_run(edges, 0.6, 6, SeededSource(5))
+    assert code == 0
+    assert out == cli._line(estimate_csv_row(result)) + "\n"
+
+
+@pytest.mark.parametrize("command", ["estimate", "evaluate"])
+def test_bad_probability_refused_before_reading_input(capsys, monkeypatch, command):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{command} read its input before checking --p")
+
+    monkeypatch.setattr(cli, "load_edge_list", refuse)
+    code, out, err = run_cli(
+        capsys, command, "--method", "nes", "--p", "5e-324", "--input", str(TOY_GRAPH_FILE)
+    )
+    assert_failure(1, code, out, err)
+    assert "p * p is 0" in err
+
+
 # ---------------------------------------------------------------------------
 # usage errors
 # ---------------------------------------------------------------------------
@@ -336,6 +391,12 @@ BAD_NUMBERS = [
     ("evaluate", "--method", "nes", "--p", "0.5", "--runs", "2.5"),
     ("evaluate", "--method", "nes", "--p", "0.5", "--jobs", "0"),
     ("evaluate", "--method", "pes", "--p", "0.5", "--pool", "-1"),
+    ("evaluate", "--method", "nes", "--p", "5e-324"),
+    # random.Random seeds with |seed|, so a negative seed repeats another's draws.
+    ("estimate", "--method", "nes", "--p", "0.5", "--seed", "-1"),
+    ("evaluate", "--method", "nes", "--p", "0.5", "--seed", "-1"),
+    ("compare", "--target-rse", "0.3", "--seed", "-1"),
+    ("sweep", "--method", "nes", "--targets", "0.3", "--seed", "-1"),
 ]
 
 
@@ -433,7 +494,7 @@ CSV_COMMANDS = {
 
 # The function each command spends its work in, named as the CLI imports it.
 CSV_COMMAND_WORK = {
-    "estimate": "nes_run",
+    "estimate": "single_run",
     "evaluate": "run_experiment",
     "compare": "ratio_experiment",
     "sweep": "rse_sweep",

@@ -106,11 +106,10 @@ def test_pool_monotone_replacement_probability():
     rng = SeededSource(0)
     qs = []
     for i in range(40):
-        q = pool.offer_all(i, 1000, (i + 1,), rng)
-        if q is not None:
-            qs.append(q)
+        pool.offer_all(i, 1000, (i + 1,), rng)
+        qs.append(pool.retention_probability())
     assert qs == sorted(qs, reverse=True)
-    assert qs[0] == 3 / 4
+    assert qs[:4] == [1.0, 1.0, 1.0, 3 / 4]
     assert pool.candidate_count == 40
     assert pool.retention_probability() == 3 / 40
 
@@ -142,7 +141,8 @@ def test_pool_compares_draw_with_probability(capacity, count, draw, admitted):
     never = ScriptedSource([False] * count)
     pool.offer_all(0, 1000, range(1, count), never)
     before = pool.wedge_keys()
-    assert pool.offer_all(0, 1000, (count,), _FixedDraw(draw)) == capacity / count
+    pool.offer_all(0, 1000, (count,), _FixedDraw(draw))
+    assert pool.retention_probability() == capacity / count
     assert (pool.wedge_keys() != before) == admitted
 
 

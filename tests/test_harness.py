@@ -2,8 +2,8 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import os
-import pickle
 from statistics import fmean
 
 import pytest
@@ -11,7 +11,6 @@ import pytest
 from tristream import (
     EdgeList,
     ExperimentConfig,
-    ExperimentRunError,
     InfeasibleError,
     SeededSource,
     erdos_renyi,
@@ -106,7 +105,11 @@ def test_summary_fields(small_graph):
     assert summary.stats.triangles > 0
 
 
-def test_single_run_is_infeasible(small_graph):
+def test_single_run_is_infeasible(small_graph, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle ran before the run count was checked")
+
+    monkeypatch.setattr(harness, "compute_stats", refuse)
     with pytest.raises(InfeasibleError, match="insufficient runs"):
         run_experiment(small_graph, config(runs=1))
 
@@ -117,13 +120,16 @@ def test_triangle_free_graph_is_infeasible():
         run_experiment(star, config())
 
 
-def test_bad_estimator_parameters_name_the_run(small_graph):
-    # With jobs=2 the error crosses from a worker process, so it must pickle.
-    for jobs in (1, 2):
-        with pytest.raises(ExperimentRunError, match="run 0"):
-            run_experiment(small_graph, config(p=2.0, jobs=jobs))
-    error = pickle.loads(pickle.dumps(ExperimentRunError(3, ValueError("bad p"))))
-    assert (str(error), error.run_index) == ("run 3: bad p", 3)
+def test_config_rejects_what_a_run_would():
+    # The estimators' own p rule, so no run of a valid config can fail.
+    for p in (2.0, 0.0, math.nan, 5e-324):
+        with pytest.raises(ValueError, match="sampling probability"):
+            config(p=p)
+    with pytest.raises(ValueError, match="pool must be >= 1"):
+        config(method="pes", pool=0)
+    # random.Random seeds with |seed|: base seed -3 would rerun seeds 3, 2, 1.
+    with pytest.raises(ValueError, match="base seed must be >= 0"):
+        config(base_seed=-1)
 
 
 def test_parallel_equals_serial(small_graph):
@@ -229,7 +235,7 @@ def test_ratio_experiment_refuses_triangle_free():
 def test_ratio_experiment_marks_saturated(toy_edges):
     report = ratio_experiment(toy_edges, 0.2, 50, 1)
     assert report.saturated  # tiny graph clamps the naive calibration at p=1
-    assert report.nes_p == 1.0
+    assert report.nes_summary.config.p == 1.0
 
 
 def test_ratio_experiment_at_unit_prediction_boundary():

@@ -129,9 +129,16 @@ def serialize_edge_list(edge_list: EdgeList) -> str:
 def shuffle_stream(edge_list: EdgeList, seed: StreamSeed) -> EdgeList:
     """Uniform random permutation of the stream order, driven entirely by seed.
 
-    Fisher-Yates via ``random.Random``: identical seed and input give a
-    byte-identical order; the input is left unmodified.
+    The Fisher-Yates loop of ``random.Random(seed).shuffle``, inlined on
+    ``getrandbits``, so it gives exactly that order; the input is left
+    unmodified.
     """
     order = list(edge_list.edges)
-    random.Random(seed).shuffle(order)
+    getrandbits = random.Random(seed).getrandbits
+    for i in range(len(order) - 1, 0, -1):
+        k = (i + 1).bit_length()
+        j = getrandbits(k)
+        while j > i:
+            j = getrandbits(k)
+        order[i], order[j] = order[j], order[i]
     return EdgeList(tuple(order))

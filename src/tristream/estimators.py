@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable
 
 from .analysis import pes_rse_simple
 from .edgelist import Edge, EdgeList, NodeId
@@ -32,20 +32,15 @@ from .randomness import RandomSource
 
 
 class WedgePool:
-    """Fixed-capacity uniform reservoir of candidate wedges.
-
-    While the pool has room every candidate is appended.  Once full, the
-    t-th candidate replaces a uniformly random slot with probability
-    ``capacity / t``; by the standard reservoir induction every candidate
-    seen so far then sits in the pool with exactly that probability.
-    Evicting a closed wedge decrements the closed count, which keeps
-    ``closed_count`` equal to the number of closed wedges in the slots.
+    """Slot state of the fixed-capacity reservoir of candidate wedges that
+    :func:`pes_run` keeps; the reservoir protocol lives in its loop.
 
     Slot ``i`` is stored across three parallel lists: ``pairs[i]`` is the
     canonical outer pair ``(a, b)`` with ``a <= b``, ``centers[i]`` the
-    center and ``closed[i]`` the closed flag.  A rejected candidate costs a
-    counter bump, a compare and one ``uniform()`` draw; only an admitted one
-    builds its pair and touches the lists.
+    center and ``closed[i]`` the closed flag.  ``candidate_count`` counts
+    the candidates offered so far and ``closed_count`` the closed wedges in
+    the slots; ``pes_run`` keeps both in locals and writes them back before
+    each ``on_step`` call and at the end of the run.
     """
 
     __slots__ = (
@@ -63,66 +58,9 @@ class WedgePool:
         self.closed_count = 0
         # Outer endpoint pair -> the slots it was stored in, filed on every
         # admission and never unfiled: an entry whose slot now holds another
-        # pair is stale and skipped when the pair closes.
+        # pair is stale and skipped when the pair closes.  The pair's edge
+        # pops its entries, since every stream edge arrives once.
         self._by_pair: dict[tuple[NodeId, NodeId], list[int]] = {}
-
-    def offer_all(
-        self, outer: NodeId, center: NodeId, others: Iterable[NodeId], rng: RandomSource
-    ) -> None:
-        """Offer the candidate wedge (outer, center, other) for each ``other``
-        in order.  No ``other`` may equal ``outer``: it would be counted and
-        offered as a candidate though it forms no wedge.  ``pes_run`` offers
-        an edge's candidates before the edge joins its subgraph, so its
-        neighbor lists never hold the edge.
-
-        Each candidate offered to a full pool draws one ``uniform()``, and each
-        one it admits one ``randrange(capacity)``.
-        """
-        capacity = self.capacity
-        count = self.candidate_count
-        uniform = rng.uniform
-        for other in others:
-            count += 1
-            if count > capacity:
-                if uniform() < capacity / count:
-                    self._replace(rng.randrange(capacity), outer, center, other)
-            else:
-                self._append(outer, center, other)
-        self.candidate_count = count
-
-    def _append(self, outer: NodeId, center: NodeId, other: NodeId) -> None:
-        pair = (outer, other) if outer <= other else (other, outer)
-        self._by_pair.setdefault(pair, []).append(len(self.pairs))
-        self.pairs.append(pair)
-        self.centers.append(center)
-        self.closed.append(False)
-
-    def _replace(self, index: int, outer: NodeId, center: NodeId, other: NodeId) -> None:
-        if self.closed[index]:
-            self.closed_count -= 1
-            self.closed[index] = False
-        pair = (outer, other) if outer <= other else (other, outer)
-        self._by_pair.setdefault(pair, []).append(index)
-        self.pairs[index] = pair
-        self.centers[index] = center
-
-    def close_matching(self, pair: tuple[NodeId, NodeId]) -> int:
-        """Mark every open pool wedge whose outer endpoints equal ``pair`` closed.
-
-        The pair's entries leave the index: every slot still holding it is
-        closed now, and a later admission of the pair files it again.
-        """
-        indices = self._by_pair.pop(pair, None)
-        if indices is None:
-            return 0
-        pairs, closed = self.pairs, self.closed
-        newly_closed = 0
-        for index in indices:
-            if pairs[index] == pair and not closed[index]:
-                closed[index] = True
-                newly_closed += 1
-        self.closed_count += newly_closed
-        return newly_closed
 
     def retention_probability(self) -> float:
         """Probability that any given candidate is currently retained.
@@ -253,13 +191,23 @@ def pes_run(
     subgraph of the earlier edges, whether or not the current edge is
     admitted, and the edge never pairs with itself.
 
+    The reservoir appends every candidate while it has room.  Once full,
+    the t-th candidate replaces a uniformly random slot with probability
+    ``capacity / t``; by the standard reservoir induction every candidate
+    seen so far then sits in the pool with exactly that probability.
+    Evicting a closed wedge un-counts it.  The draws: one ``uniform()`` per
+    stream edge, then, per candidate offered to a full pool, one
+    ``uniform()`` compared as ``uniform() < capacity / t`` and, when it
+    replaces a slot, one ``randrange(capacity)``.  Each edge offers center
+    ``x``'s neighbors first, then ``y``'s.
+
     The subgraph is ``incidence``, which maps each node to its sampled
     neighbors in ascending order, kept sorted on insert so that candidates
     are offered in a fixed order without a sort per stream edge.  It and
     the pool's lazy pair index rely on every stream edge arriving once, as
     an :class:`EdgeList` promises: a repeated edge would list a neighbor
-    twice and pair with its own earlier copy, and the index drops a pair's entries at the one lookup the
-    pair's edge makes.
+    twice and pair with its own earlier copy, and the index drops a pair's
+    entries at the one lookup the pair's edge makes.
 
     The final estimate divides the closed count by ``p * q`` where ``q`` is
     the pool's final retention probability.  ``on_step`` is called after
@@ -269,37 +217,65 @@ def pes_run(
     incidence: dict[NodeId, list[NodeId]] = {}
     pool = WedgePool(pool_size)
     sorted_neighbors = incidence.get  # no list for an unseen node
-    uniform = rng.uniform
-    offer_all = pool.offer_all
-    close_matching = pool.close_matching
-    kept = 0
+    uniform, randrange = rng.uniform, rng.randrange
+    capacity, pairs, centers, closed, by_pair = (
+        pool.capacity, pool.pairs, pool.centers, pool.closed, pool._by_pair
+    )
+    count = closed_count = kept = 0
     for step, edge in enumerate(stream.edges, start=1):
         x, y = edge
         admitted = uniform() < p
-        close_matching(edge)
-        others = sorted_neighbors(x)
-        if others:
-            offer_all(y, x, others, rng)
-        others = sorted_neighbors(y)
-        if others:
-            offer_all(x, y, others, rng)
+        slots = by_pair.pop(edge, None)
+        if slots is not None:
+            for index in slots:
+                if pairs[index] == edge and not closed[index]:
+                    closed[index] = True
+                    closed_count += 1
+        for center, outer in (edge, (y, x)):  # center x first, then center y
+            others = sorted_neighbors(center)
+            if not others:
+                continue
+            if count < capacity:
+                # Fill phase: append while the pool has room.
+                fill = others[: capacity - count]
+                for other in fill:
+                    pair = (outer, other) if outer <= other else (other, outer)
+                    by_pair.setdefault(pair, []).append(len(pairs))
+                    pairs.append(pair)
+                    centers.append(center)
+                    closed.append(False)
+                count += len(fill)
+                others = others[len(fill):]
+            # Full phase: the t-th candidate replaces a random slot w.p. capacity / t.
+            for other in others:
+                count += 1
+                if uniform() < capacity / count:
+                    index = randrange(capacity)
+                    if closed[index]:
+                        closed[index] = False
+                        closed_count -= 1
+                    pair = (outer, other) if outer <= other else (other, outer)
+                    by_pair.setdefault(pair, []).append(index)
+                    pairs[index] = pair
+                    centers[index] = center
         if admitted:
             insort(incidence.setdefault(x, []), y)
             insort(incidence.setdefault(y, []), x)
             kept += 1
         if on_step is not None:
+            pool.candidate_count, pool.closed_count = count, closed_count
             on_step(step, edge, incidence, pool)
+    pool.candidate_count, pool.closed_count = count, closed_count
     q = pool.retention_probability()
-    triangles = pool.closed_count
     return EstimateResult(
         method="pes",
-        estimate=triangles / (p * q),
+        estimate=closed_count / (p * q),
         p=p,
         q=q,
-        candidate_wedges=pool.candidate_count,
-        triangles_observed=triangles,
+        candidate_wedges=count,
+        triangles_observed=closed_count,
         subgraph_edges=kept,
         pool_size=len(pool),
         sample_size=kept + len(pool),
-        estimated_rse=pes_rse_simple(triangles),
+        estimated_rse=pes_rse_simple(closed_count),
     )

@@ -64,6 +64,8 @@ class ExperimentConfig:
             raise ValueError("pes needs a pool size")
         if self.method == "pes" and self.pool < 1:
             raise ValueError(f"pool must be >= 1, got {self.pool}")
+        if self.method == "nes" and self.pool is not None:
+            raise ValueError(f"nes takes no pool size, got pool = {self.pool}")
         if self.runs < 1:
             raise ValueError(f"runs must be >= 1, got {self.runs}")
         if self.jobs < 1:
@@ -163,6 +165,11 @@ def _execute_runs(stream: EdgeList, config: ExperimentConfig) -> tuple[EstimateR
         return tuple(executor.map(_worker_run, range(config.runs), chunksize=chunksize))
 
 
+def _require_runs(runs: int) -> None:
+    if runs < 2:
+        raise InfeasibleError(f"insufficient runs: observed RSE needs k >= 2, got k = {runs}")
+
+
 def run_experiment(
     edges: EdgeList, config: ExperimentConfig, *, stats: GraphStats | None = None
 ) -> RunSummary:
@@ -170,10 +177,7 @@ def run_experiment(
 
     ``stats`` short-circuits the oracle when the caller already computed it.
     """
-    if config.runs < 2:
-        raise InfeasibleError(
-            f"insufficient runs: observed RSE needs k >= 2, got k = {config.runs}"
-        )
+    _require_runs(config.runs)
     truth = stats if stats is not None else compute_stats(build_adjacency(edges))
     if truth.triangles == 0:
         raise InfeasibleError("observed RSE undefined: graph has no triangles")
@@ -230,7 +234,9 @@ def ratio_experiment(
     The observed probability ratio is measured from the runs as the ratio of
     mean subgraph sizes (each estimates p * M).  A calibration clamped at
     p = 1 marks the report saturated: the ratio is not meaningful there.
+    Too few runs are refused before the oracle runs.
     """
+    _require_runs(runs)
     truth = compute_stats(build_adjacency(edges))
     common = dict(runs=runs, base_seed=base_seed, shuffle=shuffle, jobs=jobs)
     nes = calibrated_config("nes", truth, target_rse, **common)
@@ -267,9 +273,12 @@ def rse_sweep(
     shuffle: str = "per-run",
 ) -> SweepReport:
     """One calibrated experiment per target RSE; empty targets yield an
-    empty report."""
+    empty report.  Too few runs for a target are refused before the oracle
+    runs."""
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
+    if targets:
+        _require_runs(runs)
     truth = compute_stats(build_adjacency(edges))
     rows: list[SweepRow] = []
     for target in targets:

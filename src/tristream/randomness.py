@@ -13,7 +13,8 @@ from typing import Iterable, Protocol, Sequence
 
 _MASK64 = (1 << 64) - 1
 
-# Largest double below 1.0; a scripted "reject" compares >= any probability <= 1.
+# Largest double below 1.0; a scripted "reject" compares >= any probability < 1
+# (a draw is always below a probability of 1, as uniform() never reaches 1).
 _REJECT_DRAW = math.nextafter(1.0, 0.0)
 
 
@@ -26,13 +27,29 @@ class RandomSource(Protocol):
 
 
 class SeededSource:
-    """Mersenne Twister draws behind the RandomSource interface."""
+    """Mersenne Twister draws behind the RandomSource interface.
+
+    ``randrange(n)`` returns exactly the integers of ``random.Random(seed)``'s
+    ``randrange(n)``, by its own rejection loop on ``getrandbits``, in one
+    Python frame instead of the stdlib's two.
+    """
 
     def __init__(self, seed: int):
-        self._rng = random.Random(seed)
-        # Bind through instance attributes to keep the hot path cheap.
-        self.uniform = self._rng.random
-        self.randrange = self._rng.randrange
+        rng = random.Random(seed)
+        getrandbits = rng.getrandbits
+
+        def randrange(n: int) -> int:
+            if n < 1:
+                raise ValueError(f"empty range for randrange({n})")
+            k = n.bit_length()
+            r = getrandbits(k)
+            while r >= n:
+                r = getrandbits(k)
+            return r
+
+        # Bound as instance attributes to keep the hot path cheap.
+        self.uniform = rng.random
+        self.randrange = randrange
 
 
 class ScriptedSource:

@@ -2,10 +2,11 @@ from __future__ import annotations
 
 import gzip
 import io
+import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tristream import (
@@ -117,6 +118,17 @@ def test_shuffle_is_permutation(pairs, seed):
     shuffled = shuffle_stream(edges, seed)
     assert Counter(shuffled.edges) == Counter(edges.edges)
     assert shuffled.node_count == edges.node_count
+
+
+@given(st.integers(min_value=0, max_value=300), st.integers(min_value=0, max_value=2**64 - 1))
+@example(0, 7)
+@example(1, 7)
+@settings(max_examples=100, deadline=None)
+def test_shuffle_equals_stdlib_shuffle(length, seed):
+    edges = EdgeList(tuple((node, node + 1) for node in range(length)))
+    order = list(edges.edges)
+    random.Random(seed).shuffle(order)
+    assert shuffle_stream(edges, seed).edges == tuple(order)
 
 
 def test_shuffle_empty_and_singleton():

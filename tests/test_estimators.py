@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+from dataclasses import astuple
 from statistics import fmean, stdev
 
 import pytest
@@ -11,6 +13,7 @@ from tristream import (
     ScriptedSource,
     SeededSource,
     WedgePool,
+    barabasi_albert,
     build_adjacency,
     compute_stats,
     cycle_graph,
@@ -101,17 +104,24 @@ def test_pool_rejects_bad_capacity():
         WedgePool(0)
 
 
+def path_stream(edge_count: int) -> EdgeList:
+    """(1, 2), (2, 3), ...: at p = 1 every edge after the first forms exactly
+    one candidate, centered on its smaller endpoint."""
+    return EdgeList(tuple((node, node + 1) for node in range(1, edge_count + 1)))
+
+
 def test_pool_monotone_replacement_probability():
-    pool = WedgePool(3)
-    rng = SeededSource(0)
     qs = []
-    for i in range(40):
-        pool.offer_all(i, 1000, (i + 1,), rng)
-        qs.append(pool.retention_probability())
+
+    def record(step, edge, incidence, pool):
+        if step > 1:
+            qs.append(pool.retention_probability())
+
+    result = pes_run(path_stream(41), 1.0, 3, SeededSource(0), on_step=record)
     assert qs == sorted(qs, reverse=True)
     assert qs[:4] == [1.0, 1.0, 1.0, 3 / 4]
-    assert pool.candidate_count == 40
-    assert pool.retention_probability() == 3 / 40
+    assert result.candidate_wedges == 40
+    assert result.q == 3 / 40
 
 
 class _FixedDraw:
@@ -137,62 +147,94 @@ class _FixedDraw:
     ],
 )
 def test_pool_compares_draw_with_probability(capacity, count, draw, admitted):
-    pool = WedgePool(capacity)
-    never = ScriptedSource([False] * count)
-    pool.offer_all(0, 1000, range(1, count), never)
-    before = pool.wedge_keys()
-    pool.offer_all(0, 1000, (count,), _FixedDraw(draw))
-    assert pool.retention_probability() == capacity / count
-    assert (pool.wedge_keys() != before) == admitted
+    # The last edge of the path forms candidate number ``count``, offered
+    # to a full pool with the draw under test.
+    keys = {}
+
+    def record(step, edge, incidence, pool):
+        keys[step] = pool.wedge_keys()
+
+    result = pes_run(path_stream(count + 1), 1.0, capacity, _FixedDraw(draw), on_step=record)
+    assert result.q == capacity / count
+    assert (keys[count + 1] != keys[count]) == admitted
 
 
 def test_pool_stale_index_entries_close_nothing():
-    # Capacity 1: the slot is replaced by a wedge with the same outer pair,
-    # which files the slot under (1, 3) twice, then by one on another pair.
-    pool = WedgePool(1)
-    pool.offer_all(1, 5, (3,), SeededSource(0))
-    pool.offer_all(1, 6, (3,), _FixedDraw(0.0))
-    assert pool.wedge_keys() == [(1, 6, 3)]
-    pool.audit()
-    assert pool.close_matching((1, 3)) == 1
-    assert pool.closed_count == 1 and pool.closed == [True]
-    assert pool.close_matching((1, 3)) == 0
-    pool.offer_all(2, 7, (4,), _FixedDraw(0.0))
-    pool.offer_all(1, 8, (3,), _FixedDraw(0.0))
-    pool.offer_all(2, 9, (4,), _FixedDraw(0.0))
-    # The slot was filed under (1, 3) again in between; that entry is stale.
-    assert pool.close_matching((1, 3)) == 0
-    assert pool.closed == [False] and pool.closed_count == 0
-    pool.audit()
-    assert pool.close_matching((2, 4)) == 1
-    assert pool.closed_count == 1
+    # Capacity 1, p = 0.5.  Wedges (1,5,3) and (1,6,3) file the one slot
+    # under (1, 3) twice; (2,7,4) then takes it, so edge (1, 3) finds only
+    # stale entries.  (2,9,4) files the slot under (2, 4) twice, and edge
+    # (2, 4) closes it once.  Every other candidate is rejected.
+    stream = EdgeList((
+        (1, 5), (3, 5), (1, 6), (3, 6), (2, 7), (4, 7), (1, 3), (2, 9), (4, 9), (2, 4),
+    ))
+    decisions = [
+        True,                # (1,5) joins the subgraph
+        False,               # (3,5): candidate (1,5,3) fills the pool
+        True, False,         # (1,6) joins; candidate (5,1,6) rejected
+        False, True,         # (3,6): candidate (1,6,3) replaces the slot
+        True,                # (2,7) joins
+        False, True,         # (4,7): candidate (2,7,4) replaces the slot
+        False, False, False,  # (1,3) closes nothing; (3,1,5), (3,1,6) rejected
+        True, False,         # (2,9) joins; candidate (7,2,9) rejected
+        False, True,         # (4,9): candidate (2,9,4) replaces the slot
+        False, False, False,  # (2,4) closes the slot; (4,2,7), (4,2,9) rejected
+    ]
+    rng = ScriptedSource(decisions, [0, 0, 0])
+    states = {}
+
+    def record(step, edge, incidence, pool):
+        pool.audit()
+        states[step] = (pool.wedge_keys(), list(pool.closed), pool.closed_count)
+
+    result = pes_run(stream, 0.5, 1, rng, on_step=record)
+    assert states[4] == ([(1, 6, 3)], [False], 0)
+    assert states[7] == ([(2, 7, 4)], [False], 0)
+    assert states[10] == ([(2, 9, 4)], [True], 1)
+    assert result.triangles_observed == 1
+    assert rng.exhausted
 
 
 def test_pool_wedge_admitted_after_its_edge_stays_open():
-    pool = WedgePool(4)
-    rng = SeededSource(0)
-    pool.offer_all(1, 5, (3,), rng)
-    assert pool.close_matching((1, 3)) == 1
+    # (1,5) joins, (3,5) forms wedge (1,5,3) and (1,3) closes it; (3,6)
+    # joins, and (1,6) then forms (1,6,3), whose edge has passed.
+    stream = EdgeList(((1, 5), (3, 5), (1, 3), (3, 6), (1, 6)))
+    rng = ScriptedSource([True, False, False, True, False])
+    states = {}
+
+    def record(step, edge, incidence, pool):
+        pool.audit()
+        states[step] = (dict(zip(pool.wedge_keys(), pool.closed)), pool.closed_count)
+
+    pes_run(stream, 0.5, 10, rng, on_step=record)
+    assert states[3] == ({(1, 5, 3): True, (3, 1, 5): False}, 1)
     # Edge (1, 3) has passed; a later wedge on that pair can never close.
-    pool.offer_all(1, 6, (3,), rng)
-    assert pool.closed == [True, False] and pool.closed_count == 1
-    pool.audit()
+    assert states[5][0][(1, 6, 3)] is False and states[5][1] == 1
+    assert rng.exhausted
 
 
 def test_pool_audit_catches_unfiled_open_slot():
-    pool = WedgePool(4)
-    pool.offer_all(1, 5, (3,), SeededSource(0))
-    pool._by_pair.clear()
-    with pytest.raises(RuntimeError, match="not filed"):
-        pool.audit()
+    caught = []
+
+    def unfile(step, edge, incidence, pool):
+        if step == 2:
+            pool._by_pair.clear()
+            with pytest.raises(RuntimeError, match="not filed"):
+                pool.audit()
+            caught.append(pool.wedge_keys())
+
+    pes_run(path_stream(2), 1.0, 4, SeededSource(0), on_step=unfile)
+    assert caught == [[(1, 2, 3)]]
 
 
 def test_pool_retention_clamped_while_filling():
-    pool = WedgePool(10)
-    rng = SeededSource(0)
-    for i in range(4):
-        pool.offer_all(i, 1000, (i + 1,), rng)
-    assert pool.retention_probability() == 1.0
+    qs = []
+
+    def record(step, edge, incidence, pool):
+        qs.append(pool.retention_probability())
+
+    result = pes_run(path_stream(5), 1.0, 10, SeededSource(0), on_step=record)
+    assert result.candidate_wedges == 4
+    assert qs[-1] == result.q == 1.0
 
 
 def test_eviction_of_closed_wedge_decrements_count():
@@ -275,6 +317,44 @@ def test_runs_are_deterministic_bit_for_bit():
     second = pes_run(stream, 0.4, 30, SeededSource(77))
     assert first == second
     assert nes_run(stream, 0.4, SeededSource(77)) == nes_run(stream, 0.4, SeededSource(77))
+
+
+# SHA-256 of the results and pool snapshots below.  Any change to the draws,
+# the candidate order or the slot bookkeeping changes it, so it moves only
+# with a deliberate change of the sampling protocol.
+PINNED_PES_DIGEST = "fe8901f324d7be27fc3f6fff9d1e349d3236fc591b6db4de0f0faef846da2b9a"
+
+
+def test_pes_run_snapshots_match_pinned_digest():
+    # Each stream is shuffled by mix_seed(seed); every 97th edge records the
+    # wedge keys, closed flags, both counters and the sorted subgraph.
+    digest = hashlib.sha256()
+    graphs = (
+        erdos_renyi(200, 0.08, seed=1),
+        barabasi_albert(400, 5, seed=2),
+        erdos_renyi(60, 0.3, seed=3),
+    )
+    for graph in graphs:
+        for p in (0.3, 1.0):
+            for capacity in (1, 50, 1000, 10**6):
+                for seed in (0, 1):
+                    snapshots = []
+
+                    def snapshot(step, edge, incidence, pool):
+                        if step % 97 == 0:
+                            snapshots.append((
+                                step,
+                                tuple(pool.wedge_keys()),
+                                tuple(pool.closed),
+                                pool.candidate_count,
+                                pool.closed_count,
+                                tuple(sorted((node, tuple(ns)) for node, ns in incidence.items())),
+                            ))
+
+                    stream = shuffle_stream(graph, mix_seed(seed))
+                    result = pes_run(stream, p, capacity, SeededSource(seed), on_step=snapshot)
+                    digest.update(repr((astuple(result), snapshots)).encode())
+    assert digest.hexdigest() == PINNED_PES_DIGEST
 
 
 @given(

@@ -114,6 +114,19 @@ def test_single_run_is_infeasible(small_graph, monkeypatch):
         run_experiment(small_graph, config(runs=1))
 
 
+@pytest.mark.parametrize("study", ["compare", "sweep"])
+def test_too_few_runs_refused_before_the_oracle(small_graph, monkeypatch, study):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle ran before the run count was checked")
+
+    monkeypatch.setattr(harness, "compute_stats", refuse)
+    with pytest.raises(InfeasibleError, match="insufficient runs: .* got k = 1"):
+        if study == "compare":
+            ratio_experiment(small_graph, 0.3, 1, 0)
+        else:
+            rse_sweep(small_graph, [0.3], "pes", 1, 0)
+
+
 def test_triangle_free_graph_is_infeasible():
     star = EdgeList(tuple(make_edge(0, leaf) for leaf in range(1, 9)))
     with pytest.raises(InfeasibleError, match="no triangles"):
@@ -127,6 +140,9 @@ def test_config_rejects_what_a_run_would():
             config(p=p)
     with pytest.raises(ValueError, match="pool must be >= 1"):
         config(method="pes", pool=0)
+    # A naive run has no pool, so a summary must not report one.
+    with pytest.raises(ValueError, match="nes takes no pool size"):
+        config(method="nes", pool=5)
     # random.Random seeds with |seed|: base seed -3 would rerun seeds 3, 2, 1.
     with pytest.raises(ValueError, match="base seed must be >= 0"):
         config(base_seed=-1)
@@ -281,6 +297,8 @@ def test_ratio_csv_written():
 def test_sweep_empty_targets(small_graph):
     report = rse_sweep(small_graph, [], "nes", 50, 9)
     assert report.rows == ()
+    # With no target to run, one run is not refused.
+    assert rse_sweep(small_graph, [], "pes", 1, 9).rows == ()
 
 
 def test_sweep_single_target_minimum_runs(small_graph):

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tristream import ScriptedSource, SeededSource, mix_seed
 
@@ -16,6 +20,36 @@ def test_seeded_source_draws_in_unit_interval():
     source = SeededSource(7)
     draws = [source.uniform() for _ in range(1000)]
     assert all(0.0 <= value < 1.0 for value in draws)
+
+
+# A draw sequence: None asks for uniform(), an integer n for randrange(n).
+draw_requests = st.lists(
+    st.one_of(
+        st.none(),
+        st.integers(min_value=1, max_value=64),
+        st.integers(min_value=1, max_value=10**12),
+        st.sampled_from([1, 2, 3, 2**31, 2**32 - 1, 2**32, 2**32 + 1, 2**64, 2**70 + 3]),
+    ),
+    max_size=60,
+)
+
+
+@given(st.integers(min_value=0, max_value=2**64), draw_requests)
+@settings(max_examples=300, deadline=None)
+def test_seeded_source_draws_equal_the_stdlib(seed, requests):
+    source = SeededSource(seed)
+    stdlib = random.Random(seed)
+    for n in requests:
+        if n is None:
+            assert source.uniform() == stdlib.random()
+        else:
+            assert source.randrange(n) == stdlib.randrange(n)
+
+
+@pytest.mark.parametrize("n", [0, -1, -(2**40)])
+def test_seeded_randrange_refuses_an_empty_range(n):
+    with pytest.raises(ValueError, match="empty range"):
+        SeededSource(0).randrange(n)
 
 
 def test_different_seeds_differ():

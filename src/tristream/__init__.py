@@ -26,7 +26,6 @@ from .edgelist import (
     load_edge_list,
     make_edge,
     normalize_edges,
-    parse_edge_list,
     parse_edge_text,
     serialize_edge_list,
     shuffle_stream,
@@ -98,7 +97,6 @@ __all__ = [
     "nes_run",
     "normalize_edges",
     "observed_rse",
-    "parse_edge_list",
     "parse_edge_text",
     "pes_rse_full",
     "pes_rse_simple",

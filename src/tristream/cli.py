@@ -11,7 +11,6 @@ input), 3 experiment infeasible (e.g. no triangles for compare/calibrate).
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import shutil
 import sys
@@ -22,6 +21,7 @@ from typing import IO, Callable, Collection, Iterable, Iterator, Mapping, Sequen
 
 from .analysis import (
     PesParams,
+    _required_triangles,
     calibrate_nes,
     calibrate_pes,
     calibrate_pes_pool,
@@ -99,16 +99,20 @@ def _checked(convert: Callable[[str], float], accept: Callable[[float], bool],
 _count = _checked(int, lambda value: value >= 1, "must be >= 1")
 _seed = _checked(int, lambda value: value >= 0, "must be >= 0")
 _probability = _checked(float, lambda value: 0.0 < value <= 1.0, "must lie in (0, 1]")
-_target_rse = _checked(
-    float, lambda value: math.isfinite(value) and value > 0, "must be finite and > 0"
-)
+
+
+def _target_rse(text: str) -> float:
+    """An argparse ``type=`` accepting exactly the targets the calibration does."""
+    try:
+        value = float(text)
+        _required_triangles(value)
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
+    return value
 
 
 def _parse_targets(text: str) -> list[float]:
-    try:
-        return [_target_rse(token) for token in text.split(",") if token.strip()]
-    except ValueError as err:  # a bad float; ArgumentTypeError passes through
-        raise argparse.ArgumentTypeError(f"bad target: {err}") from None
+    return [_target_rse(token) for token in text.split(",") if token.strip()]
 
 
 @contextmanager
@@ -214,7 +218,7 @@ def _cmd_compare(args: argparse.Namespace, csv_file: IO[str] | None) -> int:
     row = ratio_csv_row(report)
     lines = [
         _line(row, ("target_rse", "runs", "nes_p", "pes_p", "pes_pool", "saturated")),
-        _line(stats_csv_row(report.stats)),
+        _line(stats_csv_row(report.nes_summary.stats)),
         _line(row, ("nes_observed_rse", "pes_observed_rse", "observed_size_ratio",
                     "observed_probability_ratio", "predicted_ratio")),
     ]

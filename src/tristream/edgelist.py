@@ -14,7 +14,7 @@ import random
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable
+from typing import Iterable, Iterator
 
 NodeId = int
 StreamSeed = int
@@ -62,48 +62,44 @@ class EdgeList:
 
 def normalize_edges(pairs: Iterable[tuple[int, int]]) -> tuple[Edge, ...]:
     """Drop self-loops, canonicalize, and collapse duplicates keeping first occurrence."""
-    seen: set[Edge] = set()
-    out: list[Edge] = []
+    first: dict[Edge, None] = {}  # insertion-ordered; a repeat keeps its first place
     for a, b in pairs:
-        if a == b:
-            continue
-        edge = make_edge(a, b)
-        if edge not in seen:
-            seen.add(edge)
-            out.append(edge)
-    return tuple(out)
+        if a != b:
+            first[make_edge(a, b)] = None
+    return tuple(first)
 
 
 def parse_edge_text(text: str) -> EdgeList:
-    """Parse edge-list text into a normalized EdgeList.
+    """Parse edge-list text into a normalized EdgeList, in one pass.
 
     Raises ParseError (naming the line) on a non-integer or negative
     endpoint.  Empty input yields an empty EdgeList.
     """
-    pairs: list[tuple[int, int]] = []
-    for line_number, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith(_COMMENT_PREFIXES):
-            continue
-        tokens = stripped.split()
-        if len(tokens) < 2:
-            raise ParseError(line_number, f"expected two integer endpoints, got {stripped!r}")
-        try:
-            a, b = int(tokens[0]), int(tokens[1])
-        except ValueError:
-            raise ParseError(line_number, f"non-integer endpoint in {stripped!r}") from None
-        if a < 0 or b < 0:
-            raise ParseError(line_number, f"negative node id in {stripped!r}")
-        pairs.append((a, b))
-    return EdgeList(normalize_edges(pairs))
+
+    def endpoints() -> Iterator[tuple[int, int]]:
+        for line_number, line in enumerate(text.splitlines(), start=1):
+            stripped = line.strip()
+            if not stripped or stripped.startswith(_COMMENT_PREFIXES):
+                continue
+            tokens = stripped.split()
+            if len(tokens) < 2:
+                raise ParseError(line_number, f"expected two integer endpoints, got {stripped!r}")
+            try:
+                a, b = int(tokens[0]), int(tokens[1])
+            except ValueError:
+                raise ParseError(line_number, f"non-integer endpoint in {stripped!r}") from None
+            if a < 0 or b < 0:
+                raise ParseError(line_number, f"negative node id in {stripped!r}")
+            yield a, b
+
+    return EdgeList(normalize_edges(endpoints()))
 
 
-def parse_edge_list(source: IO[bytes] | bytes) -> EdgeList:
-    """Parse a byte stream (or bytes), transparently decompressing gzip input.
-
-    Corrupt gzip data raises ``gzip.BadGzipFile``; non-UTF-8 text, ParseError.
-    """
-    data = source if isinstance(source, bytes) else source.read()
+def load_edge_list(path: str | Path) -> EdgeList:
+    """Read a file, gunzip it when its magic bytes say so, decode it as UTF-8
+    and parse it.  Corrupt gzip data raises ``gzip.BadGzipFile``; non-UTF-8
+    text, a ParseError naming the line the parser would read the byte on."""
+    data = Path(path).read_bytes()
     if data[:2] == _GZIP_MAGIC:
         try:
             data = gzip.decompress(data)
@@ -112,13 +108,11 @@ def parse_edge_list(source: IO[bytes] | bytes) -> EdgeList:
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as err:
-        raise ParseError(data.count(b"\n", 0, err.start) + 1, "not UTF-8 text") from None
+        # The bytes before the bad one decode; "x" stands in for it.
+        line_number = len((data[: err.start].decode("utf-8") + "x").splitlines())
+        raise ParseError(line_number, "not UTF-8 text") from None
+    del data  # the parse need not hold the bytes at its peak
     return parse_edge_text(text)
-
-
-def load_edge_list(path: str | Path) -> EdgeList:
-    with open(path, "rb") as handle:
-        return parse_edge_list(handle)
 
 
 def serialize_edge_list(edge_list: EdgeList) -> str:

@@ -92,7 +92,6 @@ class RatioReport:
     """Naive-vs-priority comparison at one target RSE on one graph."""
 
     input_name: str
-    stats: GraphStats
     target_rse: float
     saturated: bool
     nes_summary: RunSummary
@@ -117,7 +116,6 @@ SWEEP_CSV_COLUMNS = tuple(field.name for field in fields(SweepRow))
 
 @dataclass(frozen=True)
 class SweepReport:
-    stats: GraphStats
     rows: tuple[SweepRow, ...]
 
 
@@ -205,7 +203,7 @@ def calibrated_config(method: str, truth: GraphStats, target_rse: float, *, runs
     """An experiment of ``method`` calibrated to ``target_rse`` on ``truth``:
     the naive p from :func:`calibrate_nes`, or the priority (p, pool) from
     :func:`calibrate_pes`.  A calibration clamped at the p = 1 boundary
-    shows as ``p == 1.0``.  A triangle-free graph is refused."""
+    shows as ``p == 1.0``.  A triangle-free graph or an unusable p is refused."""
     if truth.triangles == 0:
         raise InfeasibleError("calibration refused: graph has no triangles (triangle count = 0)")
     if method == "nes":
@@ -213,6 +211,10 @@ def calibrated_config(method: str, truth: GraphStats, target_rse: float, *, runs
     else:
         cal = calibrate_pes(truth, target_rse)
         p, pool = cal.p, cal.pool
+    try:
+        _check_probability(p)
+    except ValueError as err:
+        raise InfeasibleError(f"calibration refused for target RSE {target_rse}: {err}") from None
     return ExperimentConfig(
         method=method, p=p, pool=pool, runs=runs, base_seed=base_seed, shuffle=shuffle, jobs=jobs
     )
@@ -251,7 +253,6 @@ def ratio_experiment(
         )
     return RatioReport(
         input_name=input_name,
-        stats=truth,
         target_rse=target_rse,
         saturated=nes.p == 1.0 or pes.p == 1.0,
         nes_summary=nes_summary,
@@ -273,12 +274,13 @@ def rse_sweep(
     shuffle: str = "per-run",
 ) -> SweepReport:
     """One calibrated experiment per target RSE; empty targets yield an
-    empty report.  Too few runs for a target are refused before the oracle
-    runs."""
+    empty report without running the oracle.  Too few runs for a target are
+    refused before the oracle runs."""
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
-    if targets:
-        _require_runs(runs)
+    if not targets:
+        return SweepReport(rows=())
+    _require_runs(runs)
     truth = compute_stats(build_adjacency(edges))
     rows: list[SweepRow] = []
     for target in targets:
@@ -295,7 +297,7 @@ def rse_sweep(
                 mean_sample_size=summary.mean_sample_size,
             )
         )
-    return SweepReport(stats=truth, rows=tuple(rows))
+    return SweepReport(rows=tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +372,7 @@ def sweep_csv_rows(report: SweepReport) -> list[dict[str, object]]:
 
 
 def ratio_csv_row(report: RatioReport) -> dict[str, object]:
-    truth, nes, pes = report.stats, report.nes_summary, report.pes_summary
+    truth, nes, pes = report.nes_summary.stats, report.nes_summary, report.pes_summary
     return dict(
         input=report.input_name,
         nodes=truth.node_count, edges=truth.edge_count, triangles=truth.triangles,

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from tristream import EdgeList, EstimateResult
+from tristream import EdgeList, EstimateResult, ParseError, make_edge
 
 
 def _adjacency(edges: EdgeList) -> dict[int, set[int]]:
@@ -116,3 +116,38 @@ def reference_pes_run(stream: EdgeList, p: float, pool_size: int, rng) -> Estima
         sample_size=subgraph_edges + len(slots),
         estimated_rse=closed**-0.5 if closed else None,
     )
+
+
+def reference_normalize_edges(pairs) -> tuple[tuple[int, int], ...]:
+    """Normalization as first written: a seen-set beside an out-list."""
+    seen: set[tuple[int, int]] = set()
+    out: list[tuple[int, int]] = []
+    for a, b in pairs:
+        if a == b:
+            continue
+        edge = make_edge(a, b)
+        if edge not in seen:
+            seen.add(edge)
+            out.append(edge)
+    return tuple(out)
+
+
+def reference_parse_edge_text(text: str) -> EdgeList:
+    """Parsing as first written: every line's endpoints into a list, then
+    a second pass to normalize them."""
+    pairs: list[tuple[int, int]] = []
+    for line_number, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith(("#", "%")):
+            continue
+        tokens = stripped.split()
+        if len(tokens) < 2:
+            raise ParseError(line_number, f"expected two integer endpoints, got {stripped!r}")
+        try:
+            a, b = int(tokens[0]), int(tokens[1])
+        except ValueError:
+            raise ParseError(line_number, f"non-integer endpoint in {stripped!r}") from None
+        if a < 0 or b < 0:
+            raise ParseError(line_number, f"negative node id in {stripped!r}")
+        pairs.append((a, b))
+    return EdgeList(reference_normalize_edges(pairs))

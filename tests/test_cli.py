@@ -113,6 +113,16 @@ def test_stats_non_utf8_input(capsys, tmp_path):
     assert err == "error: line 2: not UTF-8 text\n"
 
 
+def test_stats_non_utf8_line_counted_as_the_parser_counts(capsys, tmp_path):
+    # A lone carriage return ends a line for the parser, so the bad byte
+    # sits on line 2.
+    path = tmp_path / "cr.txt"
+    path.write_bytes(b"1 2\r\xff 3\r")
+    code, out, err = run_cli(capsys, "stats", "--input", str(path))
+    assert_data_error(code, out, err)
+    assert err == "error: line 2: not UTF-8 text\n"
+
+
 # ---------------------------------------------------------------------------
 # estimate
 # ---------------------------------------------------------------------------
@@ -404,6 +414,35 @@ BAD_NUMBERS = [
 def test_bad_number_is_usage_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv, "--input", str(TOY_GRAPH_FILE))
     assert_failure(1, code, out, err)
+
+
+@pytest.mark.parametrize("argv", [
+    ("compare", "--target-rse", "1e160"),
+    ("calibrate", "--target-rse", "1e160"),
+    ("sweep", "--method", "nes", "--targets", "0.3,1e160"),
+], ids=" ".join)
+def test_target_out_of_calibration_range_refused_before_reading_input(
+    capsys, monkeypatch, argv
+):
+    # 1 / 1e160**2 is 0, so no calibration can meet the target.
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{argv[0]} read its input before checking the target")
+
+    monkeypatch.setattr(cli, "load_edge_list", refuse)
+    code, out, err = run_cli(capsys, *argv, "--input", str(TOY_GRAPH_FILE))
+    assert_failure(1, code, out, err)
+    assert "target RSE 1e+160 is out of range" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("compare", "--target-rse", "1e150", "--runs", "3"),
+    ("sweep", "--method", "pes", "--targets", "1e150"),
+], ids=" ".join)
+def test_target_calibrated_to_unusable_p_is_infeasible(capsys, argv):
+    # The priority calibration gives p ~ 8e-301, whose p * p is 0.
+    code, out, err = run_cli(capsys, *argv, "--input", str(TOY_GRAPH_FILE))
+    assert_failure(3, code, out, err)
+    assert "target RSE 1e+150" in err
 
 
 def test_compare_with_no_sampled_priority_edge_is_infeasible(capsys):

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import gzip
-import io
 import random
 from collections import Counter
 
@@ -15,13 +14,13 @@ from tristream import (
     load_edge_list,
     make_edge,
     normalize_edges,
-    parse_edge_list,
     parse_edge_text,
     serialize_edge_list,
     shuffle_stream,
 )
 
 from conftest import TOY_TEXT
+from reference import reference_parse_edge_text
 
 
 def test_parse_toy_graph():
@@ -72,10 +71,10 @@ def test_parse_error_on_single_token_line():
         parse_edge_text("1\n")
 
 
-def test_parse_gzip_detected_by_magic_bytes():
-    compressed = gzip.compress(TOY_TEXT.encode())
-    edges = parse_edge_list(io.BytesIO(compressed))
-    assert edges.edge_count == 13
+def test_parse_gzip_detected_by_magic_bytes(tmp_path):
+    path = tmp_path / "toy.txt"  # no .gz suffix: the magic bytes decide
+    path.write_bytes(gzip.compress(TOY_TEXT.encode()))
+    assert load_edge_list(path).edge_count == 13
 
 
 def test_load_edge_list_plain_and_gzip(tmp_path):
@@ -109,6 +108,48 @@ def test_parse_serialize_fixed_point(pairs):
     once = parse_edge_text(text)
     twice = parse_edge_text(serialize_edge_list(once))
     assert once == twice
+
+
+LINE_BREAKS = ("\r", "\r\n", "\n", "\x0b", "\x0c", "\x1c", "\x85", "\u2028")
+
+# Noise mixes digits (one non-ASCII, which int() reads), the sign and
+# underscore characters int() accepts in places, blanks, comment marks and
+# line breaks that str.splitlines and str.split each treat their own way.
+NOISE = ("0", "1", "7", "\u0663", "-", "+", "_", " ", "\t", "#", "%") + LINE_BREAKS
+pair_line = st.builds("{} {}".format, st.integers(0, 3), st.integers(0, 3))  # repeats, loops
+noise_line = st.lists(st.sampled_from(NOISE), max_size=6).map("".join)
+# Pairs three lines in four, so that many whole texts parse.
+edge_line = st.integers(0, 3).flatmap(lambda pick: noise_line if pick == 0 else pair_line)
+edge_text = st.lists(
+    st.tuples(edge_line, st.sampled_from(LINE_BREAKS)).map("".join), max_size=12
+).map("".join)
+
+
+def parse_outcome(parse, source):
+    """The EdgeList, or the line number and message of the ParseError."""
+    try:
+        return parse(source)
+    except ParseError as err:
+        return err.line_number, str(err)
+
+
+@pytest.fixture(scope="module")
+def text_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("edge-text")
+
+
+@given(text=edge_text)
+@example(text="1 2\r3 4\r\n5 6\x853 1\u2028# 9 9\x0c% x\n\u0663 1_0\n")
+@example(text="1 2\n+3 -4\n")
+@settings(max_examples=300, deadline=None)
+def test_parser_matches_two_pass_reference(text_dir, text):
+    expected = parse_outcome(reference_parse_edge_text, text)
+    assert parse_outcome(parse_edge_text, text) == expected
+    plain, packed = text_dir / "g.txt", text_dir / "g.txt.gz"
+    plain.write_bytes(text.encode())
+    packed.write_bytes(gzip.compress(text.encode()))
+    assert parse_outcome(load_edge_list, plain) == expected
+    assert parse_outcome(load_edge_list, packed) == expected
 
 
 @given(edge_pairs(), st.integers(min_value=0, max_value=2**64 - 1))

@@ -294,7 +294,11 @@ def test_ratio_csv_written():
 # ---------------------------------------------------------------------------
 
 
-def test_sweep_empty_targets(small_graph):
+def test_sweep_empty_targets(small_graph, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle ran for a sweep with no targets")
+
+    monkeypatch.setattr(harness, "compute_stats", refuse)
     report = rse_sweep(small_graph, [], "nes", 50, 9)
     assert report.rows == ()
     # With no target to run, one run is not refused.

@@ -42,7 +42,6 @@ from .harness import (
     InfeasibleError,
     RatioReport,
     RunSummary,
-    SweepReport,
     SweepRow,
     ratio_experiment,
     run_experiment,
@@ -77,7 +76,6 @@ __all__ = [
     "RunSummary",
     "ScriptedSource",
     "SeededSource",
-    "SweepReport",
     "SweepRow",
     "VarianceBreakdown",
     "WedgePool",

@@ -49,7 +49,6 @@ class VarianceBreakdown:
 
 class CalibrationResult(NamedTuple):
     value: float
-    clamped: bool
 
 
 @dataclass(frozen=True)
@@ -65,7 +64,6 @@ class PesCalibration:
     p: float
     pool: int
     expected_q: float
-    clamped: bool
 
 
 def _saturated_q(stats: GraphStats, params: PesParams) -> tuple[float, float]:
@@ -183,14 +181,13 @@ def _required_triangles(target_rse: float) -> float:
 def calibrate_nes(target_rse: float, truth_triangles: int) -> CalibrationResult:
     """Edge probability for the naive method so about target_rse ** -2
     triangles are identified: p = 1 / (target_rse * sqrt(triangles)),
-    clamped into (0, 1] with the clamp reported."""
+    clamped into (0, 1].  A clamped calibration shows as ``value == 1.0``:
+    accuracy cannot be bought past full sampling.  A value too small for any
+    run is refused by :func:`tristream.harness.calibrated_config`."""
     _required_triangles(target_rse)
     if truth_triangles <= 0:
         raise ValueError("calibration needs a graph with triangles")
-    raw = 1.0 / (target_rse * math.sqrt(truth_triangles))
-    # Hitting the p = 1 boundary counts as clamped: accuracy cannot be
-    # bought past full sampling.
-    return CalibrationResult(value=min(1.0, raw), clamped=raw >= 1.0)
+    return CalibrationResult(value=min(1.0, 1.0 / (target_rse * math.sqrt(truth_triangles))))
 
 
 def calibrate_pes_pool(
@@ -227,12 +224,11 @@ def calibrate_pes(stats: GraphStats, target_rse: float) -> PesCalibration:
     if stats.triangles <= 0:
         raise ValueError("calibration needs a graph with triangles")
     q_protocol = min(1.0, stats.edge_count / stats.wedges)
-    raw_p = required / (q_protocol * stats.triangles)
-    p = min(1.0, raw_p)
+    p = min(1.0, required / (q_protocol * stats.triangles))
     pool = max(1, round(p * stats.edge_count))
     pool = min(pool, stats.wedges)
     expected_q = min(1.0, pool / (p * stats.wedges))
-    return PesCalibration(p=p, pool=pool, expected_q=expected_q, clamped=raw_p >= 1.0)
+    return PesCalibration(p=p, pool=pool, expected_q=expected_q)
 
 
 def nes_pes_ratio(edge_count: int, wedges: int, p_nes: float) -> float:

@@ -22,8 +22,6 @@ from typing import IO, Callable, Collection, Iterable, Iterator, Mapping, Sequen
 from .analysis import (
     PesParams,
     _required_triangles,
-    calibrate_nes,
-    calibrate_pes,
     calibrate_pes_pool,
     pes_rse_full,
     pes_variance,
@@ -35,6 +33,7 @@ from .harness import (
     ExperimentConfig,
     InfeasibleError,
     calibrate_csv_row,
+    calibrated_config,
     estimate_csv_row,
     ratio_csv_row,
     ratio_experiment,
@@ -228,29 +227,28 @@ def _cmd_compare(args: argparse.Namespace, csv_file: IO[str] | None) -> int:
 
 def _cmd_sweep(args: argparse.Namespace, csv_file: IO[str] | None) -> int:
     edges = load_edge_list(args.input)
-    report = rse_sweep(
+    rows = rse_sweep(
         edges, args.targets, args.method, args.runs, args.seed,
         jobs=args.jobs, shuffle=args.shuffle,
     )
-    return _report(csv_file, [], SWEEP_CSV_COLUMNS, sweep_csv_rows(report), table_on_stdout=True)
+    return _report(csv_file, [], SWEEP_CSV_COLUMNS, sweep_csv_rows(rows), table_on_stdout=True)
 
 
 def _cmd_calibrate(args: argparse.Namespace, csv_file: IO[str] | None) -> int:
     edges = load_edge_list(args.input)
     stats = compute_stats(build_adjacency(edges))
-    if stats.triangles == 0:
-        raise InfeasibleError("calibration refused: graph has no triangles (triangle count = 0)")
-    nes_cal = calibrate_nes(args.target_rse, stats.triangles)
-    pes_cal = calibrate_pes(stats, args.target_rse)
+    # Refused as compare refuses it, in the same order: NES, then PES.
+    nes = calibrated_config("nes", stats, args.target_rse)
+    pes = calibrated_config("pes", stats, args.target_rse)
     pool_rule = calibrate_pes_pool(args.target_rse, stats.clustering, wedge_cap=stats.wedges)
     variance = rse_full = note = None
     try:
-        params = PesParams(p=pes_cal.p, pool=pes_cal.pool)
+        params = PesParams(p=pes.p, pool=pes.pool)
         variance = pes_variance(stats, params)
         rse_full = pes_rse_full(stats, params)
     except ValueError as err:
         note = f"variance prediction unavailable: {err}"
-    row = calibrate_csv_row(args.target_rse, nes_cal, pes_cal, pool_rule, variance, rse_full)
+    row = calibrate_csv_row(args.target_rse, nes, pes, pool_rule, variance, rse_full)
     lines = [
         _line(stats_csv_row(stats)),
         _line(row, ("nes_p", "nes_clamped", "pes_p", "pes_pool", "pes_clamped", "pool_rule_n")),

@@ -15,11 +15,9 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from statistics import fmean
-from typing import IO, Collection, Iterable, Mapping, Sequence
+from typing import IO, Any, Collection, Iterable, Mapping, Sequence
 
 from .analysis import (
-    CalibrationResult,
-    PesCalibration,
     VarianceBreakdown,
     calibrate_nes,
     calibrate_pes,
@@ -37,8 +35,8 @@ SHUFFLE_MODES = ("per-run", "fixed")
 
 
 class InfeasibleError(RuntimeError):
-    """The experiment cannot run as configured (no triangles or too few
-    runs)."""
+    """The experiment cannot run as configured (no triangles, too few runs
+    or an unusable calibration)."""
 
 
 @dataclass(frozen=True)
@@ -112,11 +110,6 @@ class SweepRow:
 
 # Kept apart from the row function: an empty sweep still prints its header.
 SWEEP_CSV_COLUMNS = tuple(field.name for field in fields(SweepRow))
-
-
-@dataclass(frozen=True)
-class SweepReport:
-    rows: tuple[SweepRow, ...]
 
 
 def single_run(stream: EdgeList, config: ExperimentConfig, index: int = 0) -> EstimateResult:
@@ -198,12 +191,15 @@ def run_experiment(
     )
 
 
-def calibrated_config(method: str, truth: GraphStats, target_rse: float, *, runs: int,
-                      base_seed: int, shuffle: str, jobs: int) -> ExperimentConfig:
+def calibrated_config(method: str, truth: GraphStats, target_rse: float,
+                      **experiment: Any) -> ExperimentConfig:
     """An experiment of ``method`` calibrated to ``target_rse`` on ``truth``:
     the naive p from :func:`calibrate_nes`, or the priority (p, pool) from
-    :func:`calibrate_pes`.  A calibration clamped at the p = 1 boundary
-    shows as ``p == 1.0``.  A triangle-free graph or an unusable p is refused."""
+    :func:`calibrate_pes`, with the other ``ExperimentConfig`` fields taken
+    from ``experiment``.  A calibration clamped at the p = 1 boundary shows
+    as ``p == 1.0``.  Every calibrating subcommand comes through here, and
+    here a triangle-free graph, or a p so small that ``p * p`` is 0, is
+    refused with InfeasibleError."""
     if truth.triangles == 0:
         raise InfeasibleError("calibration refused: graph has no triangles (triangle count = 0)")
     if method == "nes":
@@ -215,9 +211,7 @@ def calibrated_config(method: str, truth: GraphStats, target_rse: float, *, runs
         _check_probability(p)
     except ValueError as err:
         raise InfeasibleError(f"calibration refused for target RSE {target_rse}: {err}") from None
-    return ExperimentConfig(
-        method=method, p=p, pool=pool, runs=runs, base_seed=base_seed, shuffle=shuffle, jobs=jobs
-    )
+    return ExperimentConfig(method=method, p=p, pool=pool, **experiment)
 
 
 def ratio_experiment(
@@ -272,14 +266,14 @@ def rse_sweep(
     *,
     jobs: int = 1,
     shuffle: str = "per-run",
-) -> SweepReport:
-    """One calibrated experiment per target RSE; empty targets yield an
-    empty report without running the oracle.  Too few runs for a target are
+) -> tuple[SweepRow, ...]:
+    """One calibrated experiment per target RSE; empty targets yield no
+    rows without running the oracle.  Too few runs for a target are
     refused before the oracle runs."""
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
     if not targets:
-        return SweepReport(rows=())
+        return ()
     _require_runs(runs)
     truth = compute_stats(build_adjacency(edges))
     rows: list[SweepRow] = []
@@ -297,7 +291,7 @@ def rse_sweep(
                 mean_sample_size=summary.mean_sample_size,
             )
         )
-    return SweepReport(rows=tuple(rows))
+    return tuple(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -367,8 +361,8 @@ def write_summary_csv(summary: RunSummary, path: str | Path) -> None:
         write_csv(handle, row.keys(), [row])
 
 
-def sweep_csv_rows(report: SweepReport) -> list[dict[str, object]]:
-    return [asdict(row) for row in report.rows]
+def sweep_csv_rows(rows: Iterable[SweepRow]) -> list[dict[str, object]]:
+    return [asdict(row) for row in rows]
 
 
 def ratio_csv_row(report: RatioReport) -> dict[str, object]:
@@ -389,14 +383,15 @@ def ratio_csv_row(report: RatioReport) -> dict[str, object]:
     )
 
 
-def calibrate_csv_row(target_rse: float, nes: CalibrationResult, pes: PesCalibration,
+def calibrate_csv_row(target_rse: float, nes: ExperimentConfig, pes: ExperimentConfig,
                       pool_rule: int, variance: VarianceBreakdown | None,
                       rse_full: float | None) -> dict[str, object]:
-    """Calibrated parameters and, when the theory applies, the predicted
-    variance terms; absent predictions stay None."""
+    """Calibrated parameters of both methods, each clamped when its p is 1,
+    and, when the theory applies, the predicted variance terms; absent
+    predictions stay None."""
     return dict(
-        target_rse=target_rse, nes_p=nes.value, nes_clamped=nes.clamped,
-        pes_p=pes.p, pes_pool=pes.pool, pes_clamped=pes.clamped, pool_rule_n=pool_rule,
+        target_rse=target_rse, nes_p=nes.p, nes_clamped=nes.p == 1.0,
+        pes_p=pes.p, pes_pool=pes.pool, pes_clamped=pes.p == 1.0, pool_rule_n=pool_rule,
         predicted_var_total=variance.total if variance else None,
         predicted_var_unit=variance.term_unit if variance else None,
         predicted_var_shared=variance.term_shared if variance else None,

@@ -128,7 +128,7 @@ def _sweep_check(edges, method: str, base_seed: int) -> tuple[bool, str, float]:
     start = time.perf_counter()
     rep = rse_sweep(edges, [0.1, 0.2, 0.3, 0.4], method, 1000, base_seed)
     elapsed = time.perf_counter() - start
-    qualifying = [row for row in rep.rows if row.mean_triangles_observed >= 25]
+    qualifying = [row for row in rep if row.mean_triangles_observed >= 25]
     gaps = [
         abs(row.observed_rse - row.predicted_rse) / row.predicted_rse
         for row in qualifying

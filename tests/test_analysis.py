@@ -14,6 +14,7 @@ from tristream import (
     calibrate_pes,
     calibrate_pes_pool,
     compute_stats,
+    cycle_graph,
     erdos_renyi,
     nes_pes_ratio,
     observed_rse,
@@ -204,12 +205,10 @@ def test_observed_rse_scale_equivariant(estimates, truth, scale):
 
 
 def test_calibrate_nes_examples():
-    assert calibrate_nes(0.2, 625) == (0.2, False)
-    # Raw value lands exactly on the p = 1 boundary: reported as clamped.
-    assert calibrate_nes(0.1, 100) == (1.0, True)
-    result = calibrate_nes(0.2, 3)
-    assert result.value == 1.0
-    assert result.clamped
+    assert calibrate_nes(0.2, 625).value == 0.2
+    # Raw value lands exactly on the p = 1 boundary: clamped, so p == 1.
+    assert calibrate_nes(0.1, 100).value == 1.0
+    assert calibrate_nes(0.2, 3).value == 1.0
 
 
 def test_calibrate_nes_domain():
@@ -217,6 +216,10 @@ def test_calibrate_nes_domain():
         calibrate_nes(0.0, 10)
     with pytest.raises(ValueError):
         calibrate_nes(0.2, 0)
+    # Without its own check, calibrate_pes would divide by zero here.
+    square = compute_stats(build_adjacency(cycle_graph(4)))
+    with pytest.raises(ValueError, match="triangles"):
+        calibrate_pes(square, 0.2)
 
 
 def test_calibrate_pes_pool_examples():
@@ -252,7 +255,7 @@ def test_calibrate_pes_pool_monotone(rse_a, rse_b, c_a, c_b):
 def test_calibrate_pes_matches_protocol():
     stats = stats_for(100, 0.2, 17)
     cal = calibrate_pes(stats, 0.2)
-    assert not cal.clamped
+    assert cal.p < 1.0
     assert cal.pool == round(cal.p * stats.edge_count)
     # Expected identified triangles p * q * triangles comes out at target**-2.
     expected = cal.p * cal.expected_q * stats.triangles
@@ -261,7 +264,6 @@ def test_calibrate_pes_matches_protocol():
 
 def test_calibrate_pes_clamps_on_tiny_graph(toy_stats):
     cal = calibrate_pes(toy_stats, 0.2)
-    assert cal.clamped
     assert cal.p == 1.0
 
 

@@ -437,12 +437,16 @@ def test_target_out_of_calibration_range_refused_before_reading_input(
 @pytest.mark.parametrize("argv", [
     ("compare", "--target-rse", "1e150", "--runs", "3"),
     ("sweep", "--method", "pes", "--targets", "1e150"),
+    ("calibrate", "--target-rse", "1e150"),
 ], ids=" ".join)
-def test_target_calibrated_to_unusable_p_is_infeasible(capsys, argv):
+def test_target_calibrated_to_unusable_p_is_infeasible(capsys, tmp_path, argv):
     # The priority calibration gives p ~ 8e-301, whose p * p is 0.
-    code, out, err = run_cli(capsys, *argv, "--input", str(TOY_GRAPH_FILE))
+    target = tmp_path / "out.csv"
+    target.write_text("earlier results\n")
+    code, out, err = run_cli(capsys, *argv, "--input", str(TOY_GRAPH_FILE), "--csv", str(target))
     assert_failure(3, code, out, err)
     assert "target RSE 1e+150" in err
+    assert target.read_text() == "earlier results\n"
 
 
 def test_compare_with_no_sampled_priority_edge_is_infeasible(capsys):

@@ -212,17 +212,47 @@ def test_pool_wedge_admitted_after_its_edge_stays_open():
     assert rng.exhausted
 
 
-def test_pool_audit_catches_unfiled_open_slot():
+def _add_center(pool):
+    pool.centers.append(pool.centers[0])
+
+
+def _flip_closed_flag(pool):
+    pool.closed[0] = not pool.closed[0]
+
+
+def _add_open_slot(pool):
+    pool.pairs.append(pool.pairs[0])
+    pool.centers.append(pool.centers[0])
+    pool.closed.append(False)
+
+
+def _reverse_pair(pool):
+    pool.pairs[0] = pool.pairs[0][::-1]
+
+
+def _unfile(pool):
+    pool._by_pair.clear()
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    pytest.param(_add_center, "out of step", id="slot_lists_out_of_step"),
+    pytest.param(_flip_closed_flag, "closed-count drift", id="closed_count_drift"),
+    pytest.param(_add_open_slot, "occupancy drift", id="occupancy_drift"),
+    pytest.param(_reverse_pair, "non-canonical", id="non_canonical_pair"),
+    pytest.param(_unfile, "not filed", id="unfiled_open_slot"),
+])
+def test_pool_audit_catches_corruption(corrupt, message):
     caught = []
 
-    def unfile(step, edge, incidence, pool):
+    def corrupt_and_audit(step, edge, incidence, pool):
         if step == 2:
-            pool._by_pair.clear()
-            with pytest.raises(RuntimeError, match="not filed"):
-                pool.audit()
             caught.append(pool.wedge_keys())
+            pool.audit()
+            corrupt(pool)
+            with pytest.raises(RuntimeError, match=message):
+                pool.audit()
 
-    pes_run(path_stream(2), 1.0, 4, SeededSource(0), on_step=unfile)
+    pes_run(path_stream(2), 1.0, 4, SeededSource(0), on_step=corrupt_and_audit)
     assert caught == [[(1, 2, 3)]]
 
 

@@ -56,3 +56,5 @@ def test_cycle_and_complete():
     assert complete_graph(5).edge_count == 10
     with pytest.raises(ValueError):
         cycle_graph(2)
+    with pytest.raises(ValueError):
+        complete_graph(-1)

@@ -299,22 +299,21 @@ def test_sweep_empty_targets(small_graph, monkeypatch):
         raise AssertionError("the oracle ran for a sweep with no targets")
 
     monkeypatch.setattr(harness, "compute_stats", refuse)
-    report = rse_sweep(small_graph, [], "nes", 50, 9)
-    assert report.rows == ()
+    assert rse_sweep(small_graph, [], "nes", 50, 9) == ()
     # With no target to run, one run is not refused.
-    assert rse_sweep(small_graph, [], "pes", 1, 9).rows == ()
+    assert rse_sweep(small_graph, [], "pes", 1, 9) == ()
 
 
 def test_sweep_single_target_minimum_runs(small_graph):
-    report = rse_sweep(small_graph, [0.3], "nes", 2, 9)
-    assert len(report.rows) == 1
-    assert report.rows[0].target_rse == 0.3
+    rows = rse_sweep(small_graph, [0.3], "nes", 2, 9)
+    assert len(rows) == 1
+    assert rows[0].target_rse == 0.3
 
 
 def test_sweep_rows_and_csv(small_graph):
-    report = rse_sweep(small_graph, [0.2, 0.4], "pes", 80, 31)
-    assert [row.target_rse for row in report.rows] == [0.2, 0.4]
-    rows = sweep_csv_rows(report)
+    sweep = rse_sweep(small_graph, [0.2, 0.4], "pes", 80, 31)
+    assert [row.target_rse for row in sweep] == [0.2, 0.4]
+    rows = sweep_csv_rows(sweep)
     assert tuple(rows[0]) == SWEEP_CSV_COLUMNS
     out = io.StringIO()
     write_csv(out, SWEEP_CSV_COLUMNS, rows)
@@ -339,6 +338,6 @@ def test_sweep_rejects_unknown_method(small_graph):
 def test_sweep_triangle_free_graph():
     star = EdgeList(tuple(make_edge(0, leaf) for leaf in range(1, 9)))
     # Empty targets succeed on any graph; non-empty targets need triangles.
-    assert rse_sweep(star, [], "nes", 10, 0).rows == ()
+    assert rse_sweep(star, [], "nes", 10, 0) == ()
     with pytest.raises(InfeasibleError, match="triangle count = 0"):
         rse_sweep(star, [0.2], "nes", 10, 0)

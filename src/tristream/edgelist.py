@@ -14,7 +14,7 @@ import random
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable
 
 NodeId = int
 StreamSeed = int
@@ -72,33 +72,44 @@ def normalize_edges(pairs: Iterable[tuple[int, int]]) -> tuple[Edge, ...]:
 def parse_edge_text(text: str) -> EdgeList:
     """Parse edge-list text into a normalized EdgeList, in one pass.
 
-    Raises ParseError (naming the line) on a non-integer or negative
-    endpoint.  Empty input yields an empty EdgeList.
+    Each line's pair goes straight into the insertion-ordered dict, in the
+    orientation and with the first-occurrence rule of ``normalize_edges``.
+    ``str.split`` skips the same whitespace as ``str.strip``, so a line
+    with no tokens is blank.  Raises ParseError (naming the line) on a
+    non-integer or negative endpoint.  Empty input yields an empty EdgeList.
     """
-
-    def endpoints() -> Iterator[tuple[int, int]]:
-        for line_number, line in enumerate(text.splitlines(), start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith(_COMMENT_PREFIXES):
+    first: dict[Edge, None] = {}
+    for line_number, line in enumerate(text.splitlines(), start=1):
+        tokens = line.split()
+        if not tokens:
+            continue
+        try:
+            a = int(tokens[0])
+            b = int(tokens[1])
+        except (ValueError, IndexError):
+            # A comment's first token never reads as an integer, so comments
+            # and short lines are told apart only on this path.
+            if tokens[0].startswith(_COMMENT_PREFIXES):
                 continue
-            tokens = stripped.split()
             if len(tokens) < 2:
-                raise ParseError(line_number, f"expected two integer endpoints, got {stripped!r}")
-            try:
-                a, b = int(tokens[0]), int(tokens[1])
-            except ValueError:
-                raise ParseError(line_number, f"non-integer endpoint in {stripped!r}") from None
-            if a < 0 or b < 0:
-                raise ParseError(line_number, f"negative node id in {stripped!r}")
-            yield a, b
-
-    return EdgeList(normalize_edges(endpoints()))
+                raise ParseError(
+                    line_number, f"expected two integer endpoints, got {line.strip()!r}"
+                ) from None
+            raise ParseError(line_number, f"non-integer endpoint in {line.strip()!r}") from None
+        if a < 0 or b < 0:
+            raise ParseError(line_number, f"negative node id in {line.strip()!r}")
+        if a < b:
+            first[a, b] = None
+        elif b < a:
+            first[b, a] = None
+    return EdgeList(tuple(first))
 
 
 def load_edge_list(path: str | Path) -> EdgeList:
     """Read a file, gunzip it when its magic bytes say so, decode it as UTF-8
-    and parse it.  Corrupt gzip data raises ``gzip.BadGzipFile``; non-UTF-8
-    text, a ParseError naming the line the parser would read the byte on."""
+    (dropping a leading byte-order mark) and parse it.  Corrupt gzip data
+    raises ``gzip.BadGzipFile``; non-UTF-8 text, a ParseError naming the
+    line the parser would read the byte on."""
     data = Path(path).read_bytes()
     if data[:2] == _GZIP_MAGIC:
         try:
@@ -106,10 +117,11 @@ def load_edge_list(path: str | Path) -> EdgeList:
         except (EOFError, zlib.error) as err:
             raise gzip.BadGzipFile(f"corrupt gzip data: {err}") from None
     try:
-        text = data.decode("utf-8")
+        text = data.decode("utf-8-sig")
     except UnicodeDecodeError as err:
-        # The bytes before the bad one decode; "x" stands in for it.
-        line_number = len((data[: err.start].decode("utf-8") + "x").splitlines())
+        # The bytes before the bad one decode; "x" stands in for it.  The
+        # offset counts from after a byte-order mark, as ``err.object`` does.
+        line_number = len((err.object[: err.start].decode("utf-8") + "x").splitlines())
         raise ParseError(line_number, "not UTF-8 text") from None
     del data  # the parse need not hold the bytes at its peak
     return parse_edge_text(text)
@@ -129,10 +141,15 @@ def shuffle_stream(edge_list: EdgeList, seed: StreamSeed) -> EdgeList:
     """
     order = list(edge_list.edges)
     getrandbits = random.Random(seed).getrandbits
-    for i in range(len(order) - 1, 0, -1):
-        k = (i + 1).bit_length()
-        j = getrandbits(k)
-        while j > i:
+    top = len(order) - 1
+    # (i + 1).bit_length() is constant from 2**(k-1) - 1 up to 2**k - 2.
+    while top > 0:
+        k = (top + 1).bit_length()
+        bottom = (1 << (k - 1)) - 1
+        for i in range(top, bottom - 1, -1):
             j = getrandbits(k)
-        order[i], order[j] = order[j], order[i]
+            while j > i:
+                j = getrandbits(k)
+            order[i], order[j] = order[j], order[i]
+        top = bottom - 1
     return EdgeList(tuple(order))

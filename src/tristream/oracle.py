@@ -9,6 +9,7 @@ triangles that share an edge.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from .edgelist import Edge, EdgeList, NodeId
 
@@ -50,9 +51,18 @@ def build_adjacency(edge_list: EdgeList) -> AdjacencyGraph:
     """Adjacency of a normalized edge list; raises ValueError on a self-loop
     or a repeated edge, which the counts below would miscount."""
     adjacency: dict[NodeId, set[NodeId]] = {}
+    get = adjacency.get
     for u, v in edge_list.edges:
-        adjacency.setdefault(u, set()).add(v)
-        adjacency.setdefault(v, set()).add(u)
+        neighbors = get(u)
+        if neighbors is None:
+            adjacency[u] = {v}
+        else:
+            neighbors.add(v)
+        neighbors = get(v)
+        if neighbors is None:
+            adjacency[v] = {u}
+        else:
+            neighbors.add(u)
     degree_sum = sum(map(len, adjacency.values()))
     if degree_sum != 2 * edge_list.edge_count:
         raise ValueError(
@@ -66,11 +76,13 @@ def compute_stats(graph: AdjacencyGraph) -> GraphStats:
     adjacency = graph.adjacency
     # Triangles through each edge; each triangle is seen from its three edges.
     per_edge = [len(adjacency[u] & adjacency[v]) for u, v in graph.edges]
-    triangles = sum(per_edge) // 3
+    through = sum(per_edge)
+    triangles = through // 3
     # Length-two paths: sum over nodes of d(d-1)/2.
     wedges = sum(len(neighbors) * (len(neighbors) - 1) // 2 for neighbors in adjacency.values())
-    # Unordered pairs of triangles sharing an edge: sum over edges of t(t-1)/2.
-    shared = sum(count * (count - 1) // 2 for count in per_edge)
+    # Unordered pairs of triangles sharing an edge: sum over edges of t(t-1)/2,
+    # taken as (sum of t*t - sum of t) / 2.
+    shared = (sum(map(mul, per_edge, per_edge)) - through) // 2
     clustering = 3.0 * triangles / wedges if wedges > 0 else 0.0
     return GraphStats(
         node_count=graph.node_count,

@@ -85,6 +85,25 @@ def test_load_edge_list_plain_and_gzip(tmp_path):
     assert load_edge_list(plain) == load_edge_list(packed)
 
 
+BOM = b"\xef\xbb\xbf"
+
+
+@pytest.mark.parametrize("pack", [bytes, gzip.compress], ids=["plain", "gzip"])
+def test_load_skips_byte_order_mark(tmp_path, pack):
+    path = tmp_path / "bom.txt"
+    path.write_bytes(pack(BOM + b"1 2\n2 3\n3 1\n"))
+    assert load_edge_list(path) == parse_edge_text("1 2\n2 3\n3 1\n")
+
+
+def test_non_utf8_line_counts_after_byte_order_mark(tmp_path):
+    path = tmp_path / "bom.txt"
+    path.write_bytes(BOM + b"1 2\n3 \xff4\n")
+    with pytest.raises(ParseError) as excinfo:
+        load_edge_list(path)
+    assert excinfo.value.line_number == 2
+    assert str(excinfo.value) == "line 2: not UTF-8 text"
+
+
 def test_serialize_canonical_and_newline_terminated():
     edges = parse_edge_text("2 1\n3 2\n")
     assert serialize_edge_list(edges) == "1 2\n2 3\n"
@@ -102,6 +121,14 @@ def edge_pairs(draw):
 
 
 @given(edge_pairs())
+@settings(max_examples=100, deadline=None)
+def test_parse_orients_like_normalize_edges(pairs):
+    # edge_pairs() draws self-loops and repeats in both orientations.
+    text = "".join(f"{a} {b}\n" for a, b in pairs)
+    assert parse_edge_text(text) == EdgeList(normalize_edges(pairs))
+
+
+@given(edge_pairs())
 @settings(max_examples=60, deadline=None)
 def test_parse_serialize_fixed_point(pairs):
     text = "".join(f"{a} {b}\n" for a, b in pairs)
@@ -113,9 +140,11 @@ def test_parse_serialize_fixed_point(pairs):
 LINE_BREAKS = ("\r", "\r\n", "\n", "\x0b", "\x0c", "\x1c", "\x85", "\u2028")
 
 # Noise mixes digits (one non-ASCII, which int() reads), the sign and
-# underscore characters int() accepts in places, blanks, comment marks and
-# line breaks that str.splitlines and str.split each treat their own way.
-NOISE = ("0", "1", "7", "\u0663", "-", "+", "_", " ", "\t", "#", "%") + LINE_BREAKS
+# underscore characters int() accepts in places, blanks (two non-ASCII ones
+# that are no line break), comment marks and line breaks that
+# str.splitlines and str.split each treat their own way.
+NOISE = ("0", "1", "7", "\u0663", "-", "+", "_", " ", "\t", "\u00a0", "\u3000", "#",
+         "%") + LINE_BREAKS
 pair_line = st.builds("{} {}".format, st.integers(0, 3), st.integers(0, 3))  # repeats, loops
 noise_line = st.lists(st.sampled_from(NOISE), max_size=6).map("".join)
 # Pairs three lines in four, so that many whole texts parse.
@@ -164,6 +193,15 @@ def test_shuffle_is_permutation(pairs, seed):
 @given(st.integers(min_value=0, max_value=300), st.integers(min_value=0, max_value=2**64 - 1))
 @example(0, 7)
 @example(1, 7)
+# Lengths at the edges of the power-of-two segments of the draw width.
+@example(2, 7)
+@example(3, 7)
+@example(4, 7)
+@example(5, 7)
+@example(8, 7)
+@example(9, 7)
+@example(256, 7)
+@example(257, 7)
 @settings(max_examples=100, deadline=None)
 def test_shuffle_equals_stdlib_shuffle(length, seed):
     edges = EdgeList(tuple((node, node + 1) for node in range(length)))

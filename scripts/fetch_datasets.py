@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import urllib.request
 from pathlib import Path
@@ -44,7 +45,14 @@ def fetch(name: str, dest: Path, checksums: dict[str, str]) -> None:
     target = dest / Path(url).name
     if not target.exists():
         print(f"fetching {name} from {url}")
-        urllib.request.urlretrieve(url, target)
+        # Only a finished download takes the final name: an interrupted one
+        # would otherwise be skipped and trusted by the next run.
+        partial = target.with_name(target.name + ".part")
+        try:
+            urllib.request.urlretrieve(url, partial)
+            os.replace(partial, target)
+        finally:
+            partial.unlink(missing_ok=True)
     digest = sha256_of(target)
     recorded = checksums.get(name)
     if recorded is None:
@@ -79,9 +87,12 @@ def main(argv: list[str] | None = None) -> int:
     checksums: dict[str, str] = {}
     if checksum_file.exists():
         checksums = json.loads(checksum_file.read_text())
-    for name in names:
-        fetch(name, dest, checksums)
-    checksum_file.write_text(json.dumps(checksums, indent=2, sort_keys=True) + "\n")
+    try:
+        for name in names:
+            fetch(name, dest, checksums)
+    finally:
+        # Also on a mismatch or a failed download: keep what this run recorded.
+        checksum_file.write_text(json.dumps(checksums, indent=2, sort_keys=True) + "\n")
     return 0
 
 

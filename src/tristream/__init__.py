@@ -7,7 +7,6 @@ so every estimate can be checked against ground truth and theory.
 
 from .analysis import (
     CalibrationResult,
-    PesCalibration,
     PesParams,
     VarianceBreakdown,
     calibrate_nes,
@@ -69,7 +68,6 @@ __all__ = [
     "GraphStats",
     "InfeasibleError",
     "ParseError",
-    "PesCalibration",
     "PesParams",
     "RandomSource",
     "RatioReport",

@@ -51,21 +51,6 @@ class CalibrationResult(NamedTuple):
     value: float
 
 
-@dataclass(frozen=True)
-class PesCalibration:
-    """Parameters for a priority-sampling run sized to a target RSE.
-
-    Uses the pool = expected-subgraph-size convention (pool = round(p * M),
-    capped at the wedge count), under which the expected retention
-    probability is about M / wedges and the expected number of identified
-    triangles is target_rse ** -2.
-    """
-
-    p: float
-    pool: int
-    expected_q: float
-
-
 def _saturated_q(stats: GraphStats, params: PesParams) -> tuple[float, float]:
     """Expected candidate count x = p * wedges and retention q = pool / x,
     checked against the saturated-reservoir assumption of the theory."""
@@ -213,12 +198,14 @@ def calibrate_pes_pool(
     return math.ceil(size)
 
 
-def calibrate_pes(stats: GraphStats, target_rse: float) -> PesCalibration:
+def calibrate_pes(stats: GraphStats, target_rse: float) -> PesParams:
     """(p, pool) for a priority-sampling run targeting ``target_rse``.
 
-    Follows the pool = expected-subgraph-size convention: pool = round(p*M)
-    so the expected retention probability is min(1, M / wedges), and p is
-    chosen so the expected identified-triangle count is target_rse ** -2.
+    Uses the pool = expected-subgraph-size convention: pool = round(p * M),
+    capped at the wedge count, so the expected retention probability is
+    about min(1, M / wedges), and p is chosen so the expected number of
+    identified triangles is target_rse ** -2.  A p that underflows to 0 is
+    refused by ``PesParams`` with ValueError.
     """
     required = _required_triangles(target_rse)
     if stats.triangles <= 0:
@@ -226,9 +213,7 @@ def calibrate_pes(stats: GraphStats, target_rse: float) -> PesCalibration:
     q_protocol = min(1.0, stats.edge_count / stats.wedges)
     p = min(1.0, required / (q_protocol * stats.triangles))
     pool = max(1, round(p * stats.edge_count))
-    pool = min(pool, stats.wedges)
-    expected_q = min(1.0, pool / (p * stats.wedges))
-    return PesCalibration(p=p, pool=pool, expected_q=expected_q)
+    return PesParams(p=p, pool=min(pool, stats.wedges))
 
 
 def nes_pes_ratio(edge_count: int, wedges: int, p_nes: float) -> float:

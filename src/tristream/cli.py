@@ -28,6 +28,7 @@ from .analysis import (
 )
 from .edgelist import ParseError, load_edge_list
 from .harness import (
+    METHODS,
     SHUFFLE_MODES,
     SWEEP_CSV_COLUMNS,
     ExperimentConfig,
@@ -280,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     estimate_cmd = commands.add_parser("estimate", help="single estimator run")
     common(estimate_cmd)
-    estimate_cmd.add_argument("--method", required=True, choices=("nes", "pes"))
+    estimate_cmd.add_argument("--method", required=True, choices=METHODS)
     estimate_cmd.add_argument("--p", required=True, type=_probability,
                               help="edge sampling probability")
     estimate_cmd.add_argument("--pool", type=_count, default=None,
@@ -291,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     evaluate_cmd = commands.add_parser("evaluate", help="k seeded runs with summary")
     common(evaluate_cmd)
-    evaluate_cmd.add_argument("--method", required=True, choices=("nes", "pes"))
+    evaluate_cmd.add_argument("--method", required=True, choices=METHODS)
     evaluate_cmd.add_argument("--p", required=True, type=_probability)
     evaluate_cmd.add_argument("--pool", type=_count, default=None)
     experiment(evaluate_cmd)
@@ -305,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep_cmd = commands.add_parser("sweep", help="observed vs predicted RSE per target")
     common(sweep_cmd)
-    sweep_cmd.add_argument("--method", required=True, choices=("nes", "pes"))
+    sweep_cmd.add_argument("--method", required=True, choices=METHODS)
     sweep_cmd.add_argument("--targets", required=True, type=_parse_targets,
                            help="comma-separated target RSEs, e.g. 0.1,0.2,0.3,0.4")
     experiment(sweep_cmd)

@@ -19,6 +19,7 @@ from typing import IO, Any, Collection, Iterable, Mapping, Sequence
 
 from .analysis import (
     VarianceBreakdown,
+    _required_triangles,
     calibrate_nes,
     calibrate_pes,
     nes_pes_ratio,
@@ -199,15 +200,17 @@ def calibrated_config(method: str, truth: GraphStats, target_rse: float,
     from ``experiment``.  A calibration clamped at the p = 1 boundary shows
     as ``p == 1.0``.  Every calibrating subcommand comes through here, and
     here a triangle-free graph, or a p so small that ``p * p`` is 0, is
-    refused with InfeasibleError."""
+    refused with InfeasibleError; a target that no calibration accepts
+    raises ValueError."""
     if truth.triangles == 0:
         raise InfeasibleError("calibration refused: graph has no triangles (triangle count = 0)")
-    if method == "nes":
-        p, pool = calibrate_nes(target_rse, truth.triangles).value, None
-    else:
-        cal = calibrate_pes(truth, target_rse)
-        p, pool = cal.p, cal.pool
+    _required_triangles(target_rse)
     try:
+        if method == "nes":
+            p, pool = calibrate_nes(target_rse, truth.triangles).value, None
+        else:
+            cal = calibrate_pes(truth, target_rse)
+            p, pool = cal.p, cal.pool
         _check_probability(p)
     except ValueError as err:
         raise InfeasibleError(f"calibration refused for target RSE {target_rse}: {err}") from None
@@ -268,19 +271,18 @@ def rse_sweep(
     shuffle: str = "per-run",
 ) -> tuple[SweepRow, ...]:
     """One calibrated experiment per target RSE; empty targets yield no
-    rows without running the oracle.  Too few runs for a target are
-    refused before the oracle runs."""
+    rows without running the oracle.  Too few runs are refused before the
+    oracle runs, and an unusable target before any experiment runs."""
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
     if not targets:
         return ()
     _require_runs(runs)
     truth = compute_stats(build_adjacency(edges))
+    common = dict(runs=runs, base_seed=base_seed, shuffle=shuffle, jobs=jobs)
+    configs = [calibrated_config(method, truth, target, **common) for target in targets]
     rows: list[SweepRow] = []
-    for target in targets:
-        config = calibrated_config(
-            method, truth, target, runs=runs, base_seed=base_seed, shuffle=shuffle, jobs=jobs
-        )
+    for target, config in zip(targets, configs):
         summary = run_experiment(edges, config, stats=truth)
         rows.append(
             SweepRow(

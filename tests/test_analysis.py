@@ -258,7 +258,8 @@ def test_calibrate_pes_matches_protocol():
     assert cal.p < 1.0
     assert cal.pool == round(cal.p * stats.edge_count)
     # Expected identified triangles p * q * triangles comes out at target**-2.
-    expected = cal.p * cal.expected_q * stats.triangles
+    q = min(1.0, cal.pool / (cal.p * stats.wedges))
+    expected = cal.p * q * stats.triangles
     assert expected == pytest.approx(25.0, rel=0.02)
 
 

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import re
+from pathlib import Path
+
 import tristream
 
 
@@ -14,3 +17,13 @@ def test_star_import():
     namespace: dict[str, object] = {}
     exec("from tristream import *", namespace)
     assert set(tristream.__all__) <= set(namespace)
+
+
+def test_readme_quickstart_runs(capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"^## Library quickstart\n.*?^```python\n(.*?)^```", readme, re.M | re.S)
+    assert block is not None, "README has no python block under '## Library quickstart'"
+    exec(compile(block.group(1), "README.md", "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    assert len(printed) == 2
+    assert float(printed[1]) > 0

@@ -7,10 +7,13 @@ import os
 from statistics import fmean
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tristream import (
     EdgeList,
     ExperimentConfig,
+    GraphStats,
     InfeasibleError,
     SeededSource,
     erdos_renyi,
@@ -24,6 +27,7 @@ from tristream import (
     write_summary_csv,
 )
 from tristream import harness
+from tristream.analysis import _required_triangles
 from tristream.harness import (
     SHUFFLE_MODES,
     SWEEP_CSV_COLUMNS,
@@ -131,6 +135,43 @@ def test_triangle_free_graph_is_infeasible():
     star = EdgeList(tuple(make_edge(0, leaf) for leaf in range(1, 9)))
     with pytest.raises(InfeasibleError, match="no triangles"):
         run_experiment(star, config())
+
+
+@st.composite
+def hand_built_stats(draw) -> GraphStats:
+    """Counts far beyond any graph the oracle could count, up to 10**300
+    triangles, so that the calibrations' floats underflow and overflow."""
+    triangles = draw(st.integers(1, 10**300))
+    wedges = triangles + draw(st.integers(0, 10**300))
+    return GraphStats(node_count=10, edge_count=draw(st.integers(1, 10**300)),
+                      triangles=triangles, wedges=wedges, shared_pairs=0,
+                      clustering=min(1.0, 3 * triangles / wedges))
+
+
+def accepted_target(target: float) -> bool:
+    try:
+        _required_triangles(target)
+    except ValueError:
+        return False
+    return True
+
+
+@given(
+    st.sampled_from(harness.METHODS),
+    hand_built_stats(),
+    st.floats(min_value=5e-324, allow_infinity=False).filter(accepted_target),
+)
+# The priority p, 1e-300 / 1e300, underflows to 0.0.
+@example("pes", GraphStats(node_count=10, edge_count=10**6, triangles=10**300,
+                           wedges=10**6, shared_pairs=0, clustering=0.3), 1e150)
+@settings(max_examples=300, deadline=None)
+def test_calibrated_config_returns_a_config_or_refuses(method, stats, target):
+    try:
+        calibrated = harness.calibrated_config(method, stats, target, runs=2)
+    except InfeasibleError:
+        return
+    assert isinstance(calibrated, ExperimentConfig)
+    assert calibrated.method == method
 
 
 def test_config_rejects_what_a_run_would():
@@ -302,6 +343,15 @@ def test_sweep_empty_targets(small_graph, monkeypatch):
     assert rse_sweep(small_graph, [], "nes", 50, 9) == ()
     # With no target to run, one run is not refused.
     assert rse_sweep(small_graph, [], "pes", 1, 9) == ()
+
+
+def test_sweep_refuses_an_unusable_target_before_any_run(small_graph, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an experiment ran before every target was calibrated")
+
+    monkeypatch.setattr(harness, "run_experiment", refuse)
+    with pytest.raises(InfeasibleError, match=r"target RSE 1e\+150"):
+        rse_sweep(small_graph, [0.3, 1e150], "pes", 50, 0)
 
 
 def test_sweep_single_target_minimum_runs(small_graph):

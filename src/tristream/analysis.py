@@ -14,6 +14,10 @@ from typing import NamedTuple, Sequence
 
 from .oracle import GraphStats
 
+__all__ = ["CalibrationResult", "PesParams", "VarianceBreakdown", "calibrate_nes", "calibrate_pes",
+           "calibrate_pes_pool", "nes_pes_ratio", "observed_rse", "pes_rse_full", "pes_rse_simple",
+           "pes_variance"]
+
 
 @dataclass(frozen=True)
 class PesParams:

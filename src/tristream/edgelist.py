@@ -16,8 +16,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
+__all__ = ["Edge", "EdgeList", "ParseError", "load_edge_list", "make_edge", "normalize_edges",
+           "parse_edge_text", "serialize_edge_list", "shuffle_stream"]
+
 NodeId = int
-StreamSeed = int
 
 _GZIP_MAGIC = b"\x1f\x8b"
 _COMMENT_PREFIXES = ("#", "%")
@@ -132,7 +134,7 @@ def serialize_edge_list(edge_list: EdgeList) -> str:
     return "".join(f"{u} {v}\n" for u, v in edge_list.edges)
 
 
-def shuffle_stream(edge_list: EdgeList, seed: StreamSeed) -> EdgeList:
+def shuffle_stream(edge_list: EdgeList, seed: int) -> EdgeList:
     """Uniform random permutation of the stream order, driven entirely by seed.
 
     The Fisher-Yates loop of ``random.Random(seed).shuffle``, inlined on

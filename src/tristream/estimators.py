@@ -30,6 +30,8 @@ from .analysis import pes_rse_simple
 from .edgelist import Edge, EdgeList, NodeId
 from .randomness import RandomSource
 
+__all__ = ["EstimateResult", "WedgePool", "nes_run", "pes_run"]
+
 
 class WedgePool:
     """Slot state of the fixed-capacity reservoir of candidate wedges that

@@ -11,6 +11,8 @@ from itertools import combinations
 
 from .edgelist import EdgeList, normalize_edges
 
+__all__ = ["barabasi_albert", "complete_graph", "cycle_graph", "erdos_renyi"]
+
 
 def erdos_renyi(node_count: int, edge_probability: float, seed: int) -> EdgeList:
     """G(n, p): every unordered node pair is an edge independently with

@@ -31,6 +31,9 @@ from .estimators import EstimateResult, _check_probability, nes_run, pes_run
 from .oracle import GraphStats, build_adjacency, compute_stats
 from .randomness import SeededSource, mix_seed
 
+__all__ = ["ExperimentConfig", "InfeasibleError", "RatioReport", "RunSummary", "SweepRow",
+           "ratio_experiment", "run_experiment", "rse_sweep", "single_run", "write_summary_csv"]
+
 METHODS = ("nes", "pes")
 SHUFFLE_MODES = ("per-run", "fixed")
 
@@ -199,9 +202,9 @@ def calibrated_config(method: str, truth: GraphStats, target_rse: float,
     :func:`calibrate_pes`, with the other ``ExperimentConfig`` fields taken
     from ``experiment``.  A calibration clamped at the p = 1 boundary shows
     as ``p == 1.0``.  Every calibrating subcommand comes through here, and
-    here a triangle-free graph, or a p so small that ``p * p`` is 0, is
-    refused with InfeasibleError; a target that no calibration accepts
-    raises ValueError."""
+    here a triangle-free graph, a p so small that ``p * p`` is 0, or counts
+    past float range (an ArithmeticError) are refused with InfeasibleError;
+    a target that no calibration accepts raises ValueError."""
     if truth.triangles == 0:
         raise InfeasibleError("calibration refused: graph has no triangles (triangle count = 0)")
     _required_triangles(target_rse)
@@ -212,7 +215,7 @@ def calibrated_config(method: str, truth: GraphStats, target_rse: float,
             cal = calibrate_pes(truth, target_rse)
             p, pool = cal.p, cal.pool
         _check_probability(p)
-    except ValueError as err:
+    except (ValueError, ArithmeticError) as err:
         raise InfeasibleError(f"calibration refused for target RSE {target_rse}: {err}") from None
     return ExperimentConfig(method=method, p=p, pool=pool, **experiment)
 

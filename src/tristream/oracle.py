@@ -13,6 +13,8 @@ from operator import mul
 
 from .edgelist import Edge, EdgeList, NodeId
 
+__all__ = ["AdjacencyGraph", "GraphStats", "build_adjacency", "compute_stats"]
+
 
 @dataclass(frozen=True)
 class AdjacencyGraph:

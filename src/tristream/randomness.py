@@ -11,6 +11,8 @@ import math
 import random
 from typing import Iterable, Protocol, Sequence
 
+__all__ = ["RandomSource", "ScriptedSource", "SeededSource", "mix_seed"]
+
 _MASK64 = (1 << 64) - 1
 
 # Largest double below 1.0; a scripted "reject" compares >= any probability < 1

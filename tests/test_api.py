@@ -4,6 +4,7 @@ import re
 from pathlib import Path
 
 import tristream
+from tristream import analysis, edgelist, estimators, generators, harness, oracle, randomness
 
 
 def test_all_is_sorted_unique_and_resolves():
@@ -27,3 +28,13 @@ def test_readme_quickstart_runs(capsys):
     printed = capsys.readouterr().out.splitlines()
     assert len(printed) == 2
     assert float(printed[1]) > 0
+
+
+def test_every_module_lists_only_names_it_defines():
+    # The Edge alias is tuple[NodeId, NodeId], whose __module__ reads "builtins".
+    for module in (analysis, edgelist, estimators, generators, harness, oracle, randomness):
+        strays = [
+            name for name in module.__all__
+            if name != "Edge" and getattr(module, name).__module__ != module.__name__
+        ]
+        assert strays == [], module.__name__

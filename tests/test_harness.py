@@ -139,11 +139,12 @@ def test_triangle_free_graph_is_infeasible():
 
 @st.composite
 def hand_built_stats(draw) -> GraphStats:
-    """Counts far beyond any graph the oracle could count, up to 10**300
-    triangles, so that the calibrations' floats underflow and overflow."""
-    triangles = draw(st.integers(1, 10**300))
-    wedges = triangles + draw(st.integers(0, 10**300))
-    return GraphStats(node_count=10, edge_count=draw(st.integers(1, 10**300)),
+    """Counts far beyond any graph the oracle could count, up to 10**400
+    triangles, so that the calibrations' floats underflow and overflow and
+    some counts do not convert to float at all."""
+    triangles = draw(st.integers(1, 10**400))
+    wedges = triangles + draw(st.integers(0, 10**400))
+    return GraphStats(node_count=10, edge_count=draw(st.integers(1, 10**400)),
                       triangles=triangles, wedges=wedges, shared_pairs=0,
                       clustering=min(1.0, 3 * triangles / wedges))
 
@@ -164,6 +165,12 @@ def accepted_target(target: float) -> bool:
 # The priority p, 1e-300 / 1e300, underflows to 0.0.
 @example("pes", GraphStats(node_count=10, edge_count=10**6, triangles=10**300,
                            wedges=10**6, shared_pairs=0, clustering=0.3), 1e150)
+# edge_count / wedges underflows to 0.0, and the priority p divides by it.
+@example("pes", GraphStats(node_count=10, edge_count=1, triangles=1,
+                           wedges=10**400, shared_pairs=0, clustering=0.0), 0.3)
+# A triangle count past float range does not convert to float.
+@example("nes", GraphStats(node_count=10, edge_count=10, triangles=10**400,
+                           wedges=10**400, shared_pairs=0, clustering=1.0), 0.3)
 @settings(max_examples=300, deadline=None)
 def test_calibrated_config_returns_a_config_or_refuses(method, stats, target):
     try:

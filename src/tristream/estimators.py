@@ -43,10 +43,17 @@ class WedgePool:
     the candidates offered so far and ``closed_count`` the closed wedges in
     the slots; ``pes_run`` keeps both in locals and writes them back before
     each ``on_step`` call and at the end of the run.
+
+    The open slots are indexed by outer pair as chains: ``_by_pair`` maps
+    each pair that has an open slot to one of them, and ``_chain[i]`` gives
+    the next open slot with slot ``i``'s pair, or -1.  Every open slot is on
+    its pair's chain and no closed slot is on any, so the index never holds
+    more pairs than the pool holds slots.
     """
 
     __slots__ = (
-        "capacity", "pairs", "centers", "closed", "candidate_count", "closed_count", "_by_pair",
+        "capacity", "pairs", "centers", "closed", "candidate_count", "closed_count",
+        "_by_pair", "_chain",
     )
 
     def __init__(self, capacity: int):
@@ -58,11 +65,8 @@ class WedgePool:
         self.closed: list[bool] = []
         self.candidate_count = 0
         self.closed_count = 0
-        # Outer endpoint pair -> the slots it was stored in, filed on every
-        # admission and never unfiled: an entry whose slot now holds another
-        # pair is stale and skipped when the pair closes.  The pair's edge
-        # pops its entries, since every stream edge arrives once.
-        self._by_pair: dict[tuple[NodeId, NodeId], list[int]] = {}
+        self._by_pair: dict[tuple[NodeId, NodeId], int] = {}
+        self._chain: list[int] = []
 
     def retention_probability(self) -> float:
         """Probability that any given candidate is currently retained.
@@ -97,9 +101,23 @@ class WedgePool:
         for index, (a, b) in enumerate(self.pairs):
             if not a < b:
                 raise RuntimeError(f"slot {index} holds non-canonical pair {(a, b)}")
-        filed = {(pair, index) for pair, indices in self._by_pair.items() for index in indices}
+        if len(self._chain) != size:
+            raise RuntimeError(f"chain links out of step: {len(self._chain)} for {size} slots")
+        if len(self._by_pair) > size:
+            raise RuntimeError(f"index holds {len(self._by_pair)} pairs for {size} slots")
+        chained: set[int] = set()
+        for pair, index in self._by_pair.items():
+            while True:  # a chain holds at least its head
+                if not 0 <= index < size or self.closed[index] or self.pairs[index] != pair:
+                    raise RuntimeError(f"chain of {pair} reaches slot {index}, not open under it")
+                if index in chained:
+                    raise RuntimeError(f"slot {index} is chained twice")
+                chained.add(index)
+                index = self._chain[index]
+                if index == -1:
+                    break
         for index, pair in enumerate(self.pairs):
-            if not self.closed[index] and (pair, index) not in filed:
+            if not self.closed[index] and index not in chained:
                 raise RuntimeError(f"open slot {index} is not filed under its pair {pair}")
 
     def __len__(self) -> int:
@@ -206,10 +224,12 @@ def pes_run(
     The subgraph is ``incidence``, which maps each node to its sampled
     neighbors in ascending order, kept sorted on insert so that candidates
     are offered in a fixed order without a sort per stream edge.  It and
-    the pool's lazy pair index rely on every stream edge arriving once, as
-    an :class:`EdgeList` promises: a repeated edge would list a neighbor
-    twice and pair with its own earlier copy, and the index drops a pair's
-    entries at the one lookup the pair's edge makes.
+    the pool's pair index rely on every stream edge arriving once, as an
+    :class:`EdgeList` promises: a repeated edge would list a neighbor twice
+    and pair with its own earlier copy.  The index chains exactly the open
+    slots under their outer pairs; a stream edge pops its pair's chain and
+    closes every slot on it, and a replaced open slot is unlinked from its
+    old pair's chain before it is filed under the new one.
 
     The final estimate divides the closed count by ``p * q`` where ``q`` is
     the pool's final retention probability.  ``on_step`` is called after
@@ -220,19 +240,18 @@ def pes_run(
     pool = WedgePool(pool_size)
     sorted_neighbors = incidence.get  # no list for an unseen node
     uniform, randrange = rng.uniform, rng.randrange
-    capacity, pairs, centers, closed, by_pair = (
-        pool.capacity, pool.pairs, pool.centers, pool.closed, pool._by_pair
+    capacity, pairs, centers, closed, by_pair, chain = (
+        pool.capacity, pool.pairs, pool.centers, pool.closed, pool._by_pair, pool._chain
     )
     count = closed_count = kept = 0
     for step, edge in enumerate(stream.edges, start=1):
         x, y = edge
         admitted = uniform() < p
-        slots = by_pair.pop(edge, None)
-        if slots is not None:
-            for index in slots:
-                if pairs[index] == edge and not closed[index]:
-                    closed[index] = True
-                    closed_count += 1
+        index = by_pair.pop(edge, -1)
+        while index != -1:  # close every open slot on the edge's chain
+            closed[index] = True
+            closed_count += 1
+            index = chain[index]
         for center, outer in (edge, (y, x)):  # center x first, then center y
             others = sorted_neighbors(center)
             if not others:
@@ -242,7 +261,8 @@ def pes_run(
                 fill = others[: capacity - count]
                 for other in fill:
                     pair = (outer, other) if outer <= other else (other, outer)
-                    by_pair.setdefault(pair, []).append(len(pairs))
+                    chain.append(by_pair.get(pair, -1))
+                    by_pair[pair] = len(pairs)
                     pairs.append(pair)
                     centers.append(center)
                     closed.append(False)
@@ -254,10 +274,23 @@ def pes_run(
                 if uniform() < capacity / count:
                     index = randrange(capacity)
                     if closed[index]:
+                        # Off every chain: its pair was popped when it closed.
                         closed[index] = False
                         closed_count -= 1
+                    else:
+                        # Unlink the slot from its pair's chain, usually as the head.
+                        old = pairs[index]
+                        head = by_pair.pop(old)
+                        if head != index:
+                            by_pair[old] = head
+                            while chain[head] != index:
+                                head = chain[head]
+                            chain[head] = chain[index]
+                        elif chain[index] != -1:
+                            by_pair[old] = chain[index]
                     pair = (outer, other) if outer <= other else (other, outer)
-                    by_pair.setdefault(pair, []).append(index)
+                    chain[index] = by_pair.get(pair, -1)
+                    by_pair[pair] = index
                     pairs[index] = pair
                     centers[index] = center
         if admitted:

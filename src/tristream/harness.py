@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from statistics import fmean
@@ -153,6 +152,9 @@ def _execute_runs(stream: EdgeList, config: ExperimentConfig) -> tuple[EstimateR
     workers = min(config.jobs, config.runs, os.cpu_count() or 1)
     if workers <= 1:
         return tuple(single_run(stream, config, index) for index in range(config.runs))
+    # Imported here: it pulls in multiprocessing, which serial runs never use.
+    from concurrent.futures import ProcessPoolExecutor
+
     chunksize = max(1, config.runs // (workers * 8))
     with ProcessPoolExecutor(
         max_workers=workers, initializer=_init_worker, initargs=(stream, config)

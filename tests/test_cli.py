@@ -604,3 +604,20 @@ def test_python_m_matches_main(capsys, module):
     )
     assert (completed.returncode, completed.stdout, completed.stderr) == (code, out, err)
     assert out.startswith("N=11 M=13 triangles=3")
+
+
+def test_import_leaves_process_pool_unloaded():
+    # Only --jobs > 1 needs the process pool, so importing the CLI must not
+    # pay for multiprocessing.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(tristream.__file__).parents[1]), env.get("PYTHONPATH")])
+    )
+    probe = (
+        "import sys, tristream.cli; "
+        "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))"
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert (completed.returncode, completed.stdout, completed.stderr) == (0, "[]\n", "")

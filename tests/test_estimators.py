@@ -160,10 +160,11 @@ def test_pool_compares_draw_with_probability(capacity, count, draw, admitted):
 
 
 def test_pool_stale_index_entries_close_nothing():
-    # Capacity 1, p = 0.5.  Wedges (1,5,3) and (1,6,3) file the one slot
-    # under (1, 3) twice; (2,7,4) then takes it, so edge (1, 3) finds only
-    # stale entries.  (2,9,4) files the slot under (2, 4) twice, and edge
-    # (2, 4) closes it once.  Every other candidate is rejected.
+    # Capacity 1, p = 0.5.  Wedge (1,6,3) replaces (1,5,3) in the one slot,
+    # which stays filed under (1, 3); (2,7,4) then takes the slot and
+    # unfiles it, so edge (1, 3) finds nothing to close.  (2,9,4) replaces
+    # (2,7,4) under the same pair (2, 4), and edge (2, 4) closes the slot
+    # once.  Every other candidate is rejected.
     stream = EdgeList((
         (1, 5), (3, 5), (1, 6), (3, 6), (2, 7), (4, 7), (1, 3), (2, 9), (4, 9), (2, 4),
     ))
@@ -234,12 +235,33 @@ def _unfile(pool):
     pool._by_pair.clear()
 
 
+def _close_chained_slot(pool):
+    pool.closed[0] = True
+    pool.closed_count += 1
+
+
+def _chain_cycle(pool):
+    pool._chain[0] = 0
+
+
+def _drop_link(pool):
+    pool._chain.pop()
+
+
+def _file_extra_pair(pool):
+    pool._by_pair[(7, 8)] = 0
+
+
 @pytest.mark.parametrize("corrupt, message", [
     pytest.param(_add_center, "out of step", id="slot_lists_out_of_step"),
     pytest.param(_flip_closed_flag, "closed-count drift", id="closed_count_drift"),
     pytest.param(_add_open_slot, "occupancy drift", id="occupancy_drift"),
     pytest.param(_reverse_pair, "non-canonical", id="non_canonical_pair"),
     pytest.param(_unfile, "not filed", id="unfiled_open_slot"),
+    pytest.param(_close_chained_slot, "not open under it", id="closed_slot_on_chain"),
+    pytest.param(_chain_cycle, "chained twice", id="chain_cycle"),
+    pytest.param(_drop_link, "chain links out of step", id="chain_links_out_of_step"),
+    pytest.param(_file_extra_pair, "index holds 2 pairs for 1 slots", id="index_over_pool"),
 ])
 def test_pool_audit_catches_corruption(corrupt, message):
     caught = []
@@ -254,6 +276,34 @@ def test_pool_audit_catches_corruption(corrupt, message):
 
     pes_run(path_stream(2), 1.0, 4, SeededSource(0), on_step=corrupt_and_audit)
     assert caught == [[(1, 2, 3)]]
+
+
+def test_pool_chains_many_open_slots_under_one_pair():
+    # K(2, n) with p = 1: every node b on the big side centers a wedge on
+    # the outer pair (1, 2), so that pair's chain grows long and, in the
+    # smaller pool, loses slots from its middle to replacements.  The edge
+    # (1, 2), streamed last, closes every slot still on it; the larger pool
+    # also keeps the candidates that edge forms, so it evicts none of them.
+    n = 12
+    for seed in range(6):
+        stream = EdgeList(
+            shuffle_stream(
+                EdgeList(tuple(make_edge(a, b) for a in (1, 2) for b in range(3, n + 3))), seed
+            ).edges
+            + ((1, 2),)
+        )
+        for capacity in (n * n // 2, n * n + 2 * n):
+            held = []  # slots holding pair (1, 2) before its edge arrives
+
+            def record(step, edge, incidence, pool):
+                pool.audit()
+                if step == 2 * n:
+                    held.append(pool.pairs.count((1, 2)))
+
+            result = pes_run(stream, 1.0, capacity, SeededSource(seed), on_step=record)
+            if capacity > n * n:
+                assert held == [n] and result.triangles_observed == n
+            assert 2 <= held[0] and result.triangles_observed <= held[0]
 
 
 def test_pool_retention_clamped_while_filling():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import concurrent.futures
 import csv
 import io
 import math
@@ -227,7 +228,7 @@ def test_jobs_capped_at_runs_and_cores(small_graph, monkeypatch):
         def map(self, fn, iterable, chunksize=1):
             return map(fn, iterable)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     monkeypatch.setattr(harness, "_worker_task", None)
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     serial = run_experiment(small_graph, config(runs=3))

@@ -56,14 +56,10 @@ class ExitStatus(IntEnum):
     INFEASIBLE = 3
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits on its own; raise instead so main() owns the exit code.
     def error(self, message: str):  # noqa: D102 - argparse override
-        raise _UsageError(message)
+        raise ValueError(message)
 
 
 def _fmt(value: object) -> str:
@@ -166,15 +162,7 @@ def _cmd_stats(args: argparse.Namespace, csv_file: IO[str] | None) -> int:
     return _report(None, [_line(row)], row.keys(), [row], table_on_stdout=True)
 
 
-def _require_pool(args: argparse.Namespace) -> None:
-    if args.method == "pes" and args.pool is None:
-        raise _UsageError("--pool is required with --method pes")
-    if args.method == "nes" and args.pool is not None:
-        raise _UsageError("--pool is only valid with --method pes")
-
-
 def _cmd_estimate(args: argparse.Namespace, csv_file: IO[str] | None) -> int:
-    _require_pool(args)
     # Run 0 of the experiment seeded by --seed; "fixed" keeps the file order.
     config = ExperimentConfig(
         method=args.method, p=args.p, pool=args.pool, runs=1, base_seed=args.seed,
@@ -185,7 +173,6 @@ def _cmd_estimate(args: argparse.Namespace, csv_file: IO[str] | None) -> int:
 
 
 def _cmd_evaluate(args: argparse.Namespace, csv_file: IO[str] | None) -> int:
-    _require_pool(args)
     config = ExperimentConfig(
         method=args.method, p=args.p, pool=args.pool, runs=args.runs, base_seed=args.seed,
         shuffle=args.shuffle, jobs=args.jobs,
@@ -333,7 +320,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except InfeasibleError as err:
         print(f"error: {err}", file=sys.stderr)
         return ExitStatus.INFEASIBLE
-    except (_UsageError, ValueError) as err:
+    except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return ExitStatus.USAGE_ERROR
 

@@ -39,10 +39,10 @@ class WedgePool:
 
     Slot ``i`` is stored across three parallel lists: ``pairs[i]`` is the
     canonical outer pair ``(a, b)`` with ``a <= b``, ``centers[i]`` the
-    center and ``closed[i]`` the closed flag.  ``candidate_count`` counts
-    the candidates offered so far and ``closed_count`` the closed wedges in
-    the slots; ``pes_run`` keeps both in locals and writes them back before
-    each ``on_step`` call and at the end of the run.
+    center and ``closed[i]`` the closed flag; ``closed_count`` is the number
+    of set flags.  ``candidate_count`` counts the candidates offered so far;
+    ``pes_run`` keeps it in a local and writes it back before each
+    ``on_step`` call and at the end of the run.
 
     The open slots are indexed by outer pair as chains: ``_by_pair`` maps
     each pair that has an open slot to one of them, and ``_chain[i]`` gives
@@ -52,8 +52,7 @@ class WedgePool:
     """
 
     __slots__ = (
-        "capacity", "pairs", "centers", "closed", "candidate_count", "closed_count",
-        "_by_pair", "_chain",
+        "capacity", "pairs", "centers", "closed", "candidate_count", "_by_pair", "_chain",
     )
 
     def __init__(self, capacity: int):
@@ -64,9 +63,12 @@ class WedgePool:
         self.centers: list[NodeId] = []
         self.closed: list[bool] = []
         self.candidate_count = 0
-        self.closed_count = 0
         self._by_pair: dict[tuple[NodeId, NodeId], int] = {}
         self._chain: list[int] = []
+
+    @property
+    def closed_count(self) -> int:
+        return sum(self.closed)
 
     def retention_probability(self) -> float:
         """Probability that any given candidate is currently retained.
@@ -89,11 +91,6 @@ class WedgePool:
             raise RuntimeError(
                 f"slot lists out of step: {size} pairs, {len(self.centers)} centers, "
                 f"{len(self.closed)} flags"
-            )
-        closed = sum(self.closed)
-        if closed != self.closed_count:
-            raise RuntimeError(
-                f"closed-count drift: counter {self.closed_count}, slots hold {closed}"
             )
         expected_size = min(self.capacity, self.candidate_count)
         if size != expected_size:
@@ -243,14 +240,13 @@ def pes_run(
     capacity, pairs, centers, closed, by_pair, chain = (
         pool.capacity, pool.pairs, pool.centers, pool.closed, pool._by_pair, pool._chain
     )
-    count = closed_count = kept = 0
+    count = kept = 0
     for step, edge in enumerate(stream.edges, start=1):
         x, y = edge
         admitted = uniform() < p
         index = by_pair.pop(edge, -1)
         while index != -1:  # close every open slot on the edge's chain
             closed[index] = True
-            closed_count += 1
             index = chain[index]
         for center, outer in (edge, (y, x)):  # center x first, then center y
             others = sorted_neighbors(center)
@@ -276,7 +272,6 @@ def pes_run(
                     if closed[index]:
                         # Off every chain: its pair was popped when it closed.
                         closed[index] = False
-                        closed_count -= 1
                     else:
                         # Unlink the slot from its pair's chain, usually as the head.
                         old = pairs[index]
@@ -298,9 +293,10 @@ def pes_run(
             insort(incidence.setdefault(y, []), x)
             kept += 1
         if on_step is not None:
-            pool.candidate_count, pool.closed_count = count, closed_count
+            pool.candidate_count = count
             on_step(step, edge, incidence, pool)
-    pool.candidate_count, pool.closed_count = count, closed_count
+    pool.candidate_count = count
+    closed_count = pool.closed_count
     q = pool.retention_probability()
     return EstimateResult(
         method="pes",

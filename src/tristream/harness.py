@@ -60,13 +60,13 @@ class ExperimentConfig:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
         if self.shuffle not in SHUFFLE_MODES:
             raise ValueError(f"shuffle must be one of {SHUFFLE_MODES}, got {self.shuffle!r}")
-        _check_probability(self.p)
         if self.method == "pes" and self.pool is None:
             raise ValueError("pes needs a pool size")
         if self.method == "pes" and self.pool < 1:
             raise ValueError(f"pool must be >= 1, got {self.pool}")
         if self.method == "nes" and self.pool is not None:
             raise ValueError(f"nes takes no pool size, got pool = {self.pool}")
+        _check_probability(self.p)
         if self.runs < 1:
             raise ValueError(f"runs must be >= 1, got {self.runs}")
         if self.jobs < 1:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import codecs
 import contextlib
 import gzip
 import io
@@ -123,6 +124,36 @@ def test_stats_non_utf8_line_counted_as_the_parser_counts(capsys, tmp_path):
     assert err == "error: line 2: not UTF-8 text\n"
 
 
+# Bytes that split, comment, mark or wrap lines, or that only look like
+# numbers, drawn as whole tokens so that they meet each other.
+RAW_TOKENS = [bytes([byte]) for byte in b"0123456789 \t\n\r#%-_\x00\x0b\x1c"] + [
+    "\x85".encode(), "\u2028".encode(), codecs.BOM_UTF8, b"\x1f\x8b",
+]
+raw_file = st.one_of(st.binary(), st.lists(st.sampled_from(RAW_TOKENS)).map(b"".join))
+
+
+@pytest.fixture(scope="module")
+def raw_dir(tmp_path_factory) -> Path:
+    return tmp_path_factory.mktemp("raw-bytes")
+
+
+@given(data=raw_file, cut=st.integers(min_value=0))
+@settings(max_examples=200, deadline=None)
+def test_stats_any_bytes_exit_cleanly(raw_dir, data, cut):
+    # The same bytes plain, gzip-wrapped, and gzip-wrapped but cut short.
+    packed = gzip.compress(data)
+    for name, content in (("plain", data), ("gzip", packed), ("cut", packed[: cut % len(packed)])):
+        path = raw_dir / name
+        path.write_bytes(content)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["stats", "--input", str(path)])
+        out, err = out.getvalue(), err.getvalue()
+        assert "Traceback" not in out + err
+        if code != 0:
+            assert_data_error(code, out, err)
+
+
 # ---------------------------------------------------------------------------
 # estimate
 # ---------------------------------------------------------------------------
@@ -149,20 +180,38 @@ def test_estimate_rejects_bad_probability(capsys, toy_file):
     assert out == ""
 
 
-def test_estimate_requires_pool_for_pes(capsys, toy_file):
-    code, _, err = run_cli(
-        capsys, "estimate", "--method", "pes", "--p", "0.5", "--input", str(toy_file)
-    )
-    assert code == 1
-    assert "--pool" in err
+def refuse_pool_rule(capsys, monkeypatch, tmp_path, *argv: str) -> list[str]:
+    """The stderr of estimate and evaluate on ``argv``, each of which must be
+    refused as a usage error before reading its input, leaving an existing
+    --csv file untouched."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the pool rule was checked after reading the input")
+
+    monkeypatch.setattr(cli, "load_edge_list", refuse)
+    target = tmp_path / "out.csv"
+    target.write_text("earlier results\n")
+    errors = []
+    for command in ("estimate", "evaluate"):
+        code, out, err = run_cli(
+            capsys, command, *argv, "--input", str(TOY_GRAPH_FILE), "--csv", str(target)
+        )
+        assert_failure(1, code, out, err)
+        errors.append(err)
+    assert target.read_text() == "earlier results\n"
+    assert [path.name for path in tmp_path.iterdir()] == ["out.csv"]
+    return errors
 
 
-def test_estimate_rejects_pool_for_nes(capsys, toy_file):
-    code, _, err = run_cli(
-        capsys, "estimate", "--method", "nes", "--p", "0.5", "--pool", "4",
-        "--input", str(toy_file),
+def test_estimate_requires_pool_for_pes(capsys, monkeypatch, tmp_path):
+    errors = refuse_pool_rule(capsys, monkeypatch, tmp_path, "--method", "pes", "--p", "0.5")
+    assert errors == ["error: pes needs a pool size\n"] * 2
+
+
+def test_estimate_rejects_pool_for_nes(capsys, monkeypatch, tmp_path):
+    errors = refuse_pool_rule(
+        capsys, monkeypatch, tmp_path, "--method", "nes", "--p", "0.5", "--pool", "4"
     )
-    assert code == 1
+    assert errors == ["error: nes takes no pool size, got pool = 4\n"] * 2
 
 
 def test_estimate_deterministic_stdout(capsys, toy_file):

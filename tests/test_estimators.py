@@ -217,10 +217,6 @@ def _add_center(pool):
     pool.centers.append(pool.centers[0])
 
 
-def _flip_closed_flag(pool):
-    pool.closed[0] = not pool.closed[0]
-
-
 def _add_open_slot(pool):
     pool.pairs.append(pool.pairs[0])
     pool.centers.append(pool.centers[0])
@@ -237,7 +233,6 @@ def _unfile(pool):
 
 def _close_chained_slot(pool):
     pool.closed[0] = True
-    pool.closed_count += 1
 
 
 def _chain_cycle(pool):
@@ -254,7 +249,6 @@ def _file_extra_pair(pool):
 
 @pytest.mark.parametrize("corrupt, message", [
     pytest.param(_add_center, "out of step", id="slot_lists_out_of_step"),
-    pytest.param(_flip_closed_flag, "closed-count drift", id="closed_count_drift"),
     pytest.param(_add_open_slot, "occupancy drift", id="occupancy_drift"),
     pytest.param(_reverse_pair, "non-canonical", id="non_canonical_pair"),
     pytest.param(_unfile, "not filed", id="unfiled_open_slot"),

@@ -1,9 +1,10 @@
 """Exact ground-truth graph statistics.
 
-The triangles through an edge are the common neighbors of its endpoints,
-counted by one set intersection per edge.  Summing over the edges sees
-every triangle three times, and the same per-edge counts give the pairs of
-triangles that share an edge.
+The graph is its neighbor-set dict alone.  The triangles through an edge are
+the common neighbors of its endpoints, counted by one set intersection per
+edge, each edge visited once from its smaller endpoint.  Summing over the
+edges sees every triangle three times, and the same per-edge counts give the
+pairs of triangles that share an edge.
 """
 
 from __future__ import annotations
@@ -11,26 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import mul
 
-from .edgelist import Edge, EdgeList, NodeId
+from .edgelist import EdgeList, NodeId
 
-__all__ = ["AdjacencyGraph", "GraphStats", "build_adjacency", "compute_stats"]
-
-
-@dataclass(frozen=True)
-class AdjacencyGraph:
-    """Symmetric hash-indexed adjacency and the normalized edges it was built
-    from; read-only after construction."""
-
-    adjacency: dict[NodeId, set[NodeId]]
-    edges: tuple[Edge, ...]
-
-    @property
-    def node_count(self) -> int:
-        return len(self.adjacency)
-
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
+__all__ = ["GraphStats", "build_adjacency", "compute_stats"]
 
 
 @dataclass(frozen=True)
@@ -49,9 +33,9 @@ class GraphStats:
     clustering: float
 
 
-def build_adjacency(edge_list: EdgeList) -> AdjacencyGraph:
-    """Adjacency of a normalized edge list; raises ValueError on a self-loop
-    or a repeated edge, which the counts below would miscount."""
+def build_adjacency(edge_list: EdgeList) -> dict[NodeId, set[NodeId]]:
+    """Symmetric neighbor-set dict of a normalized edge list; raises ValueError
+    on a self-loop or a repeated edge, which the counts below would miscount."""
     adjacency: dict[NodeId, set[NodeId]] = {}
     get = adjacency.get
     for u, v in edge_list.edges:
@@ -71,13 +55,14 @@ def build_adjacency(edge_list: EdgeList) -> AdjacencyGraph:
             f"edge list is not normalized: degree sum {degree_sum} is not twice its "
             f"{edge_list.edge_count} edges (a self-loop or a repeated edge)"
         )
-    return AdjacencyGraph(adjacency=adjacency, edges=edge_list.edges)
+    return adjacency
 
 
-def compute_stats(graph: AdjacencyGraph) -> GraphStats:
-    adjacency = graph.adjacency
+def compute_stats(adjacency: dict[NodeId, set[NodeId]]) -> GraphStats:
+    """Exact counts of a neighbor-set dict, visiting each edge once from its smaller endpoint."""
     # Triangles through each edge; each triangle is seen from its three edges.
-    per_edge = [len(adjacency[u] & adjacency[v]) for u, v in graph.edges]
+    per_edge = [len(neighbors & adjacency[v])
+                for u, neighbors in adjacency.items() for v in neighbors if u < v]
     through = sum(per_edge)
     triangles = through // 3
     # Length-two paths: sum over nodes of d(d-1)/2.
@@ -87,8 +72,8 @@ def compute_stats(graph: AdjacencyGraph) -> GraphStats:
     shared = (sum(map(mul, per_edge, per_edge)) - through) // 2
     clustering = 3.0 * triangles / wedges if wedges > 0 else 0.0
     return GraphStats(
-        node_count=graph.node_count,
-        edge_count=graph.edge_count,
+        node_count=len(adjacency),
+        edge_count=len(per_edge),
         triangles=triangles,
         wedges=wedges,
         shared_pairs=shared,

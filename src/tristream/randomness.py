@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Iterable, Protocol, Sequence
+from collections import deque
+from typing import Iterable, Protocol
 
 __all__ = ["RandomSource", "ScriptedSource", "SeededSource", "mix_seed"]
 
@@ -65,33 +66,25 @@ class ScriptedSource:
     """
 
     def __init__(self, decisions: Iterable[bool], slot_picks: Iterable[int] = ()):
-        self._decisions: Sequence[bool] = list(decisions)
-        self._picks: Sequence[int] = list(slot_picks)
-        self._next_decision = 0
-        self._next_pick = 0
+        self._decisions = deque(decisions)
+        self._picks = deque(slot_picks)
 
     def uniform(self) -> float:
-        if self._next_decision >= len(self._decisions):
+        if not self._decisions:
             raise LookupError("decision script exhausted")
-        decision = self._decisions[self._next_decision]
-        self._next_decision += 1
-        return 0.0 if decision else _REJECT_DRAW
+        return 0.0 if self._decisions.popleft() else _REJECT_DRAW
 
     def randrange(self, n: int) -> int:
-        if self._next_pick >= len(self._picks):
+        if not self._picks:
             raise LookupError("slot-pick script exhausted")
-        pick = self._picks[self._next_pick]
-        self._next_pick += 1
+        pick = self._picks.popleft()
         if not 0 <= pick < n:
             raise LookupError(f"scripted slot {pick} outside range({n})")
         return pick
 
     @property
     def exhausted(self) -> bool:
-        return (
-            self._next_decision == len(self._decisions)
-            and self._next_pick == len(self._picks)
-        )
+        return not self._decisions and not self._picks
 
 
 def mix_seed(seed: int) -> int:

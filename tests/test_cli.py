@@ -657,16 +657,19 @@ def test_python_m_matches_main(capsys, module):
 
 def test_import_leaves_process_pool_unloaded():
     # Only --jobs > 1 needs the process pool, so importing the CLI must not
-    # pay for multiprocessing.
+    # pay for multiprocessing.  Nor may it load anything outside the standard
+    # library: the package has no runtime dependencies.
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(Path(tristream.__file__).parents[1]), env.get("PYTHONPATH")])
     )
     probe = (
-        "import sys, tristream.cli; "
-        "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))"
+        "import sys; before = set(sys.modules); import tristream.cli; "
+        "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules))); "
+        "added = {name.partition('.')[0] for name in set(sys.modules) - before}; "
+        "print(sorted(added - set(sys.stdlib_module_names) - {'tristream'}))"
     )
     completed = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
     )
-    assert (completed.returncode, completed.stdout, completed.stderr) == (0, "[]\n", "")
+    assert (completed.returncode, completed.stdout, completed.stderr) == (0, "[]\n[]\n", "")

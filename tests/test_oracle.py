@@ -22,15 +22,14 @@ import reference
 
 def test_toy_adjacency(toy_edges):
     graph = build_adjacency(toy_edges)
-    assert graph.adjacency[6] == {1, 7, 8, 9, 10, 11}
-    assert graph.node_count == 11
-    assert graph.edge_count == 13
-    assert sum(len(n) for n in graph.adjacency.values()) == 2 * 13
+    assert graph[6] == {1, 7, 8, 9, 10, 11}
+    assert len(graph) == 11
+    assert sum(len(n) for n in graph.values()) == 2 * 13
 
 
 def test_empty_graph():
     graph = build_adjacency(EdgeList(()))
-    assert graph.node_count == 0 and graph.edge_count == 0
+    assert graph == {}
     stats = compute_stats(graph)
     assert (stats.triangles, stats.wedges, stats.shared_pairs) == (0, 0, 0)
     assert stats.clustering == 0.0
@@ -38,7 +37,7 @@ def test_empty_graph():
 
 def test_single_edge():
     graph = build_adjacency(EdgeList((make_edge(1, 2),)))
-    assert graph.adjacency == {1: {2}, 2: {1}}
+    assert graph == {1: {2}, 2: {1}}
     stats = compute_stats(graph)
     assert (stats.wedges, stats.triangles) == (0, 0)
 
@@ -129,11 +128,17 @@ oracle_graphs = st.one_of(
 def test_counts_match_brute_force(edges):
     graph = build_adjacency(edges)
     stats = compute_stats(graph)
-    assert graph.node_count == stats.node_count == reference.brute_node_count(edges)
-    assert graph.edge_count == stats.edge_count == reference.brute_edge_count(edges)
+    assert len(graph) == stats.node_count == reference.brute_node_count(edges)
+    assert (
+        sum(map(len, graph.values()))
+        == 2 * stats.edge_count
+        == 2 * reference.brute_edge_count(edges)
+    )
     assert stats.triangles == reference.brute_triangle_count(edges)
     assert stats.wedges == reference.brute_wedge_count(edges)
     assert stats.shared_pairs == reference.brute_shared_pair_count(edges)
+    # The census walks the dict, whose insertion order follows the stream.
+    assert compute_stats(build_adjacency(EdgeList(edges.edges[::-1]))) == stats
 
 
 @given(graph_cases)

@@ -1,0 +1,186 @@
+#!/usr/bin/env python3
+"""Re-run a fixed table of hand-made mutants against the test suite.
+
+Each row of ``MUTANTS`` names a source file, an exact text that occurs in it
+once, the text that replaces it, and the tests expected to fail on the
+result.  The script copies the repository's files (tracked, plus untracked
+ones that are not ignored) to a temporary directory, checks that the
+unmutated copy passes every listed test, then applies one row at a time and
+runs that row's tests with ``-x``.  A row whose tests still pass survived.
+
+The exit status is 0 when every mutant is killed, and 1 when one survives,
+a row's text is not found exactly once, or the baseline fails.  Mutation
+analysis: DeMillo, Lipton and Sayward, "Hints on Test Data Selection",
+IEEE Computer, 1978.
+
+Usage:
+    python scripts/mutants.py
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT_S = 600
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    path: str
+    old: str
+    new: str
+    tests: tuple[str, ...]
+
+
+EDGELIST = "src/tristream/edgelist.py"
+GENERATORS = "src/tristream/generators.py"
+ESTIMATORS = "src/tristream/estimators.py"
+GENERATOR_TESTS = (
+    "tests/test_generators.py::test_generators_emit_normalized_edge_lists",
+    "tests/test_generators.py::test_generator_edge_lists_match_pinned_digest",
+)
+
+MUTANTS = (
+    Mutant(
+        "parse splits on newline only",
+        EDGELIST,
+        "text.splitlines()",
+        'text.split("\\n")',
+        ("tests/test_edgelist.py::test_parser_matches_two_pass_reference",),
+    ),
+    Mutant(
+        "parse keeps a repeat's last place",
+        EDGELIST,
+        "        if a < b:\n"
+        "            first[a, b] = None\n"
+        "        elif b < a:\n"
+        "            first[b, a] = None\n",
+        "        if a < b:\n"
+        "            first.pop((a, b), None)\n"
+        "            first[a, b] = None\n"
+        "        elif b < a:\n"
+        "            first.pop((b, a), None)\n"
+        "            first[b, a] = None\n",
+        ("tests/test_edgelist.py::test_parse_preserves_first_occurrence_order",),
+    ),
+    Mutant(
+        "parse keeps self-loops",
+        EDGELIST,
+        "        elif b < a:\n",
+        "        else:\n",
+        ("tests/test_edgelist.py::test_parse_drops_self_loops_and_duplicates",),
+    ),
+    Mutant(
+        "load never detects gzip",
+        EDGELIST,
+        "if data[:2] == _GZIP_MAGIC:",
+        "if False:",
+        ("tests/test_edgelist.py::test_parse_gzip_detected_by_magic_bytes",),
+    ),
+    Mutant(
+        "load keeps the byte-order mark",
+        EDGELIST,
+        'data.decode("utf-8-sig")',
+        'data.decode("utf-8")',
+        ("tests/test_edgelist.py::test_load_skips_byte_order_mark",),
+    ),
+    Mutant(
+        "BA emits each edge newer endpoint first",
+        GENERATORS,
+        "edges.extend((target, source) for target in targets)",
+        "edges.extend((source, target) for target in targets)",
+        GENERATOR_TESTS,
+    ),
+    Mutant(
+        "cycle emits its closing edge reversed",
+        GENERATORS,
+        "make_edge(i, (i + 1) % node_count)",
+        "(i, (i + 1) % node_count)",
+        GENERATOR_TESTS,
+    ),
+    Mutant(
+        "reservoir draw compares with <=",
+        ESTIMATORS,
+        "if uniform() < capacity / count:",
+        "if uniform() <= capacity / count:",
+        ("tests/test_exact_expectation.py",),
+    ),
+    Mutant(
+        "reservoir keeps with capacity / (t + 1)",
+        ESTIMATORS,
+        "if uniform() < capacity / count:",
+        "if uniform() < capacity / (count + 1):",
+        ("tests/test_exact_expectation.py",),
+    ),
+)
+
+
+def _copy_repository(dest: Path) -> None:
+    listed = subprocess.run(
+        ["git", "ls-files", "--cached", "--others", "--exclude-standard", "-z"],
+        cwd=ROOT, check=True, capture_output=True,
+    ).stdout.decode().split("\0")
+    for name in filter(None, listed):
+        source = ROOT / name
+        if source.is_file():  # a tracked file deleted in the working tree is skipped
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, dest / name)
+
+
+def _run_tests(copy: Path, tests: tuple[str, ...], timeout: float) -> int | None:
+    """Pytest's exit status on ``tests`` in the copy, or None on a timeout."""
+    env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
+    command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+               "--hypothesis-seed=0", *tests]
+    try:
+        return subprocess.run(command, cwd=copy, env=env, capture_output=True,
+                              timeout=timeout).returncode
+    except subprocess.TimeoutExpired:
+        return None
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory(prefix="tristream-mutants-") as tmp:
+        copy = Path(tmp)
+        _copy_repository(copy)
+        for mutant in MUTANTS:
+            found = (copy / mutant.path).read_text(encoding="utf-8").count(mutant.old)
+            if found != 1:
+                print(f"error: {mutant.name}: old text occurs {found} times in {mutant.path}")
+                return 1
+        every_test = tuple(dict.fromkeys(test for mutant in MUTANTS for test in mutant.tests))
+        start = time.perf_counter()
+        status = _run_tests(copy, every_test, TIMEOUT_S)
+        print(f"baseline   {time.perf_counter() - start:6.1f} s  exit {status}")
+        if status != 0:
+            print("error: the unmutated copy fails the listed tests")
+            return 1
+        survivors = 0
+        for mutant in MUTANTS:
+            target = copy / mutant.path
+            original = target.read_text(encoding="utf-8")
+            target.write_text(original.replace(mutant.old, mutant.new), encoding="utf-8")
+            start = time.perf_counter()
+            status = _run_tests(copy, mutant.tests, TIMEOUT_S)
+            target.write_text(original, encoding="utf-8")
+            # Exit 1 is a failed test and 2 a failed collection; both kill.
+            killed = status is None or status in (1, 2)
+            survivors += not killed
+            verdict = "killed  " if killed else "SURVIVED"
+            detail = "timeout" if status is None else f"exit {status}"
+            print(f"{verdict} {time.perf_counter() - start:6.1f} s  {detail}  {mutant.name}")
+        print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} mutants killed")
+        return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -14,10 +14,9 @@ import random
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
 
-__all__ = ["Edge", "EdgeList", "ParseError", "load_edge_list", "make_edge", "normalize_edges",
-           "parse_edge_text", "serialize_edge_list", "shuffle_stream"]
+__all__ = ["Edge", "EdgeList", "ParseError", "load_edge_list", "make_edge", "parse_edge_text",
+           "serialize_edge_list", "shuffle_stream"]
 
 NodeId = int
 
@@ -46,8 +45,9 @@ def make_edge(a: NodeId, b: NodeId) -> Edge:
 class EdgeList:
     """A normalized sequence of undirected edges; the order is the stream order.
 
-    Normalized means: no self-loops, no duplicate undirected edges, every
-    edge canonically oriented.
+    Normalized: no self-loops or repeated edges, each smaller endpoint first,
+    unchecked on construction.  ``build_adjacency`` refuses loops and repeats
+    but not a reversed pair, which ``pes_run``'s pair index needs canonical.
     """
 
     edges: tuple[Edge, ...]
@@ -62,20 +62,11 @@ class EdgeList:
         return len(self.edges)
 
 
-def normalize_edges(pairs: Iterable[tuple[int, int]]) -> tuple[Edge, ...]:
-    """Drop self-loops, canonicalize, and collapse duplicates keeping first occurrence."""
-    first: dict[Edge, None] = {}  # insertion-ordered; a repeat keeps its first place
-    for a, b in pairs:
-        if a != b:
-            first[make_edge(a, b)] = None
-    return tuple(first)
-
-
 def parse_edge_text(text: str) -> EdgeList:
-    """Parse edge-list text into a normalized EdgeList, in one pass.
+    """Parse edge-list text into an EdgeList: the one normalizing pass.
 
-    Each line's pair goes straight into the insertion-ordered dict, in the
-    orientation and with the first-occurrence rule of ``normalize_edges``.
+    A self-loop is dropped, and every other pair goes smaller endpoint first
+    into an insertion-ordered dict, so a repeat keeps its first place.
     ``str.split`` skips the same whitespace as ``str.strip``, so a line
     with no tokens is blank.  Raises ParseError (naming the line) on a
     non-integer or negative endpoint.  Empty input yields an empty EdgeList.

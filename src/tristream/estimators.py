@@ -221,12 +221,13 @@ def pes_run(
     The subgraph is ``incidence``, which maps each node to its sampled
     neighbors in ascending order, kept sorted on insert so that candidates
     are offered in a fixed order without a sort per stream edge.  It and
-    the pool's pair index rely on every stream edge arriving once, as an
-    :class:`EdgeList` promises: a repeated edge would list a neighbor twice
-    and pair with its own earlier copy.  The index chains exactly the open
-    slots under their outer pairs; a stream edge pops its pair's chain and
-    closes every slot on it, and a replaced open slot is unlinked from its
-    old pair's chain before it is filed under the new one.
+    the pool's pair index rely on every stream edge arriving once and
+    canonical, as an :class:`EdgeList` promises but nothing checks: a
+    repeated edge would pair with its own earlier copy, and a reversed one
+    would close nothing.  The index chains exactly the open slots under
+    their outer pairs; a stream edge pops its pair's chain and closes every
+    slot on it, and a replaced open slot is unlinked from its old pair's
+    chain before it is filed under the new one.
 
     The final estimate divides the closed count by ``p * q`` where ``q`` is
     the pool's final retention probability.  ``on_step`` is called after

@@ -1,7 +1,7 @@
 """Seeded random-graph generators for desk-scale experiments.
 
-Real-corpus downloads are optional (see scripts/fetch_datasets.py); the
-experiment harness and the test suite only rely on these generators.
+Each emits an EdgeList with no self-loops or repeats, every edge smaller
+endpoint first, by construction.  The harness and the tests rely only on these.
 """
 
 from __future__ import annotations
@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
-from .edgelist import EdgeList, normalize_edges
+from .edgelist import EdgeList, make_edge
 
 __all__ = ["barabasi_albert", "complete_graph", "cycle_graph", "erdos_renyi"]
 
@@ -22,10 +22,9 @@ def erdos_renyi(node_count: int, edge_probability: float, seed: int) -> EdgeList
     if not 0.0 <= edge_probability <= 1.0:
         raise ValueError(f"edge probability must be in [0, 1], got {edge_probability}")
     rng = random.Random(seed)
-    pairs = [
+    return EdgeList(tuple(
         pair for pair in combinations(range(node_count), 2) if rng.random() < edge_probability
-    ]
-    return EdgeList(normalize_edges(pairs))
+    ))
 
 
 def barabasi_albert(node_count: int, attach_count: int, seed: int) -> EdgeList:
@@ -40,27 +39,25 @@ def barabasi_albert(node_count: int, attach_count: int, seed: int) -> EdgeList:
     rng = random.Random(seed)
     targets = list(range(attach_count))
     repeated: list[int] = []
-    pairs: list[tuple[int, int]] = []
+    edges: list[tuple[int, int]] = []
     for source in range(attach_count, node_count):
-        pairs.extend((source, target) for target in targets)
-        repeated.extend(targets)
-        repeated.extend([source] * attach_count)
+        edges.extend((target, source) for target in targets)  # every target is older
+        repeated += targets + [source] * attach_count
         chosen: set[int] = set()
         while len(chosen) < attach_count:
             chosen.add(rng.choice(repeated))
         targets = sorted(chosen)
-    return EdgeList(normalize_edges(pairs))
+    return EdgeList(tuple(edges))
 
 
 def cycle_graph(node_count: int) -> EdgeList:
     """Cycle on ``node_count`` nodes; every node has degree 2."""
     if node_count < 3:
         raise ValueError(f"cycle needs >= 3 nodes, got {node_count}")
-    pairs = [(i, (i + 1) % node_count) for i in range(node_count)]
-    return EdgeList(normalize_edges(pairs))
+    return EdgeList(tuple(make_edge(i, (i + 1) % node_count) for i in range(node_count)))
 
 
 def complete_graph(node_count: int) -> EdgeList:
     if node_count < 0:
         raise ValueError(f"node count must be >= 0, got {node_count}")
-    return EdgeList(normalize_edges(combinations(range(node_count), 2)))
+    return EdgeList(tuple(combinations(range(node_count), 2)))

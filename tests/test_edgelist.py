@@ -13,14 +13,13 @@ from tristream import (
     ParseError,
     load_edge_list,
     make_edge,
-    normalize_edges,
     parse_edge_text,
     serialize_edge_list,
     shuffle_stream,
 )
 
 from conftest import TOY_TEXT
-from reference import reference_parse_edge_text
+from reference import reference_normalize_edges, reference_parse_edge_text
 
 
 def test_parse_toy_graph():
@@ -125,7 +124,7 @@ def edge_pairs(draw):
 def test_parse_orients_like_normalize_edges(pairs):
     # edge_pairs() draws self-loops and repeats in both orientations.
     text = "".join(f"{a} {b}\n" for a, b in pairs)
-    assert parse_edge_text(text) == EdgeList(normalize_edges(pairs))
+    assert parse_edge_text(text) == EdgeList(reference_normalize_edges(pairs))
 
 
 @given(edge_pairs())
@@ -184,7 +183,7 @@ def test_parser_matches_two_pass_reference(text_dir, text):
 @given(edge_pairs(), st.integers(min_value=0, max_value=2**64 - 1))
 @settings(max_examples=60, deadline=None)
 def test_shuffle_is_permutation(pairs, seed):
-    edges = EdgeList(normalize_edges(pairs))
+    edges = EdgeList(reference_normalize_edges(pairs))
     shuffled = shuffle_stream(edges, seed)
     assert Counter(shuffled.edges) == Counter(edges.edges)
     assert shuffled.node_count == edges.node_count

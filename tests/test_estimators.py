@@ -21,7 +21,6 @@ from tristream import (
     make_edge,
     mix_seed,
     nes_run,
-    normalize_edges,
     pes_run,
     shuffle_stream,
 )
@@ -449,7 +448,7 @@ def test_full_sampling_candidate_count_equals_wedges(nodes, density, seed):
 # out of ascending order, which the candidate order must not follow.
 nodes = st.sampled_from(range(0, 110, 11))
 streams = st.lists(st.tuples(nodes, nodes), min_size=5, max_size=60).map(
-    lambda pairs: EdgeList(normalize_edges(pairs))
+    lambda pairs: EdgeList(reference.reference_normalize_edges(pairs))
 )
 
 

@@ -13,7 +13,6 @@ from tristream import (
     compute_stats,
     erdos_renyi,
     make_edge,
-    normalize_edges,
     parse_edge_text,
 )
 
@@ -118,7 +117,7 @@ def hub_graphs(draw):
 oracle_graphs = st.one_of(
     graph_cases.map(lambda case: erdos_renyi(case[0], edge_probability=case[2], seed=case[1])),
     st.one_of(st.lists(label_pairs, max_size=60), hub_graphs()).map(
-        lambda pairs: EdgeList(normalize_edges(pairs))
+        lambda pairs: EdgeList(reference.reference_normalize_edges(pairs))
     ),
 )
 

@@ -6,7 +6,9 @@ once, the text that replaces it, and the tests expected to fail on the
 result.  The script copies the repository's files (tracked, plus untracked
 ones that are not ignored) to a temporary directory, checks that the
 unmutated copy passes every listed test, then applies one row at a time and
-runs that row's tests with ``-x``.  A row whose tests still pass survived.
+runs that row's tests with ``-x``.  A row whose tests still pass survived;
+one whose tests run past five times the baseline's time (a mutant can make
+a loop endless) is killed.
 
 The exit status is 0 when every mutant is killed, and 1 when one survives,
 a row's text is not found exactly once, or the baseline fails.  Mutation
@@ -29,7 +31,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-TIMEOUT_S = 600
+TIMEOUT_S = 600  # for the baseline, which sets each row's timeout
+ROW_TIMEOUT_FACTOR = 5
 
 
 @dataclass(frozen=True)
@@ -44,9 +47,25 @@ class Mutant:
 EDGELIST = "src/tristream/edgelist.py"
 GENERATORS = "src/tristream/generators.py"
 ESTIMATORS = "src/tristream/estimators.py"
+RANDOMNESS = "src/tristream/randomness.py"
 GENERATOR_TESTS = (
     "tests/test_generators.py::test_generators_emit_normalized_edge_lists",
     "tests/test_generators.py::test_generator_edge_lists_match_pinned_digest",
+)
+ESTIMATOR_TESTS = ("tests/test_estimators.py",)
+AUDIT_CASE = "tests/test_estimators.py::test_pool_audit_catches_corruption[{}]"
+
+# Each condition of WedgePool.audit, and the corruption case that it catches.
+AUDIT_CONDITIONS = (
+    ("len(self.centers) != size or len(self.closed) != size", "slot_lists_out_of_step"),
+    ("size != expected_size", "occupancy_drift"),
+    ("not a < b", "non_canonical_pair"),
+    ("len(self._chain) != size", "chain_links_out_of_step"),
+    ("len(self._by_pair) > size", "index_over_pool"),
+    ("not 0 <= index < size or self.closed[index] or self.pairs[index] != pair",
+     "closed_slot_on_chain"),
+    ("index in chained", "chain_cycle"),
+    ("not self.closed[index] and index not in chained", "unfiled_open_slot"),
 )
 
 MUTANTS = (
@@ -121,6 +140,71 @@ MUTANTS = (
         "if uniform() < capacity / (count + 1):",
         ("tests/test_exact_expectation.py",),
     ),
+    Mutant(
+        "randrange accepts r == n",
+        RANDOMNESS,
+        "while r >= n:",
+        "while r > n:",
+        ("tests/test_randomness.py",),
+    ),
+    Mutant(
+        "shuffle rejects j == i",
+        EDGELIST,
+        "while j > i:",
+        "while j >= i:",
+        ("tests/test_edgelist.py",),
+    ),
+    Mutant(
+        "unlink cuts a mid-chain slot's tail",
+        ESTIMATORS,
+        "chain[head] = chain[index]",
+        "chain[head] = -1",
+        ESTIMATOR_TESTS,
+    ),
+    Mutant(
+        "unlink drops a chain whose head is replaced",
+        ESTIMATORS,
+        "elif chain[index] != -1:",
+        "elif False:",
+        ESTIMATOR_TESTS,
+    ),
+    Mutant(
+        "close stops after the chain head",
+        ESTIMATORS,
+        "            closed[index] = True\n"
+        "            index = chain[index]\n",
+        "            closed[index] = True\n"
+        "            index = -1\n",
+        ESTIMATOR_TESTS,
+    ),
+    Mutant(
+        "a replaced closed slot stays closed",
+        ESTIMATORS,
+        "                        closed[index] = False\n",
+        "                        pass\n",
+        ESTIMATOR_TESTS,
+    ),
+    Mutant(
+        "no candidate_count write-back before on_step",
+        ESTIMATORS,
+        "            pool.candidate_count = count\n"
+        "            on_step(",
+        "            on_step(",
+        ESTIMATOR_TESTS,
+    ),
+    Mutant(
+        "no candidate_count write-back at the end of the run",
+        ESTIMATORS,
+        "    pool.candidate_count = count\n"
+        "    closed_count = pool.closed_count\n",
+        "    closed_count = pool.closed_count\n",
+        ESTIMATOR_TESTS,
+    ),
+    *(
+        Mutant(f"audit misses {case}", ESTIMATORS, f"if {condition}:", "if False:",
+               (AUDIT_CASE.format(case),))
+        for condition, case in AUDIT_CONDITIONS
+    ),
 )
 
 
@@ -160,17 +244,19 @@ def main() -> int:
         every_test = tuple(dict.fromkeys(test for mutant in MUTANTS for test in mutant.tests))
         start = time.perf_counter()
         status = _run_tests(copy, every_test, TIMEOUT_S)
-        print(f"baseline   {time.perf_counter() - start:6.1f} s  exit {status}")
+        baseline_s = time.perf_counter() - start
+        print(f"baseline   {baseline_s:6.1f} s  exit {status}")
         if status != 0:
             print("error: the unmutated copy fails the listed tests")
             return 1
+        row_timeout = ROW_TIMEOUT_FACTOR * baseline_s
         survivors = 0
         for mutant in MUTANTS:
             target = copy / mutant.path
             original = target.read_text(encoding="utf-8")
             target.write_text(original.replace(mutant.old, mutant.new), encoding="utf-8")
             start = time.perf_counter()
-            status = _run_tests(copy, mutant.tests, TIMEOUT_S)
+            status = _run_tests(copy, mutant.tests, row_timeout)
             target.write_text(original, encoding="utf-8")
             # Exit 1 is a failed test and 2 a failed collection; both kill.
             killed = status is None or status in (1, 2)

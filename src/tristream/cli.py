@@ -33,6 +33,7 @@ from .harness import (
     SWEEP_CSV_COLUMNS,
     ExperimentConfig,
     InfeasibleError,
+    _check_settings,
     calibrate_csv_row,
     calibrated_config,
     estimate_csv_row,
@@ -77,24 +78,6 @@ def _line(row: Mapping[str, object], keys: Iterable[str] = ()) -> str:
     """``column=value`` pairs of one table row, for ``keys`` (default: every
     column) in order."""
     return " ".join(f"{key}={_fmt(row[key])}" for key in keys or row)
-
-
-def _checked(convert: Callable[[str], float], accept: Callable[[float], bool],
-             rule: str) -> Callable[[str], float]:
-    """An argparse ``type=`` that converts a value and rejects it unless
-    ``accept`` holds, so a bad number fails as a usage error."""
-    def parse(text: str) -> float:
-        value = convert(text)
-        if not accept(value):
-            raise argparse.ArgumentTypeError(f"{rule}, got {text}")
-        return value
-    parse.__name__ = convert.__name__  # argparse's "invalid float value" names it
-    return parse
-
-
-_count = _checked(int, lambda value: value >= 1, "must be >= 1")
-_seed = _checked(int, lambda value: value >= 0, "must be >= 0")
-_probability = _checked(float, lambda value: 0.0 < value <= 1.0, "must lie in (0, 1]")
 
 
 def _target_rse(text: str) -> float:
@@ -192,6 +175,7 @@ def _cmd_evaluate(args: argparse.Namespace, csv_file: IO[str] | None) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace, csv_file: IO[str] | None) -> int:
+    _check_settings(args.runs, args.jobs, args.seed, args.shuffle)
     edges = load_edge_list(args.input)
     report = ratio_experiment(
         edges,
@@ -214,6 +198,7 @@ def _cmd_compare(args: argparse.Namespace, csv_file: IO[str] | None) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace, csv_file: IO[str] | None) -> int:
+    _check_settings(args.runs, args.jobs, args.seed, args.shuffle)
     edges = load_edge_list(args.input)
     rows = rse_sweep(
         edges, args.targets, args.method, args.runs, args.seed,
@@ -251,58 +236,51 @@ def build_parser() -> argparse.ArgumentParser:
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
-    def common(sub: argparse.ArgumentParser, *, csv: bool = True) -> None:
+    def command(name: str, summary: str, handler: Callable[..., int], *,
+                csv: bool = True) -> argparse.ArgumentParser:
+        sub = commands.add_parser(name, help=summary)
         sub.add_argument("--input", required=True, help="edge-list file (optionally gzip)")
         if csv:
             sub.add_argument("--csv", default=None, help="also write results to this CSV file")
+        sub.set_defaults(handler=handler)
+        return sub
 
     def experiment(sub: argparse.ArgumentParser) -> None:
-        sub.add_argument("--seed", type=_seed, default=0)
-        sub.add_argument("--runs", type=_count, default=1000)
-        sub.add_argument("--jobs", type=_count, default=1)
+        sub.add_argument("--seed", type=int, default=0)
+        sub.add_argument("--runs", type=int, default=1000)
+        sub.add_argument("--jobs", type=int, default=1)
         sub.add_argument("--shuffle", choices=SHUFFLE_MODES, default="per-run")
 
-    stats_cmd = commands.add_parser("stats", help="exact graph statistics")
-    common(stats_cmd, csv=False)
-    stats_cmd.set_defaults(handler=_cmd_stats)
+    command("stats", "exact graph statistics", _cmd_stats, csv=False)
 
-    estimate_cmd = commands.add_parser("estimate", help="single estimator run")
-    common(estimate_cmd)
+    estimate_cmd = command("estimate", "single estimator run", _cmd_estimate)
     estimate_cmd.add_argument("--method", required=True, choices=METHODS)
-    estimate_cmd.add_argument("--p", required=True, type=_probability,
+    estimate_cmd.add_argument("--p", required=True, type=float,
                               help="edge sampling probability")
-    estimate_cmd.add_argument("--pool", type=_count, default=None,
+    estimate_cmd.add_argument("--pool", type=int, default=None,
                               help="wedge pool capacity (pes)")
-    estimate_cmd.add_argument("--seed", type=_seed, default=0)
+    estimate_cmd.add_argument("--seed", type=int, default=0)
     estimate_cmd.add_argument("--shuffle", choices=("per-run", "none"), default="per-run")
-    estimate_cmd.set_defaults(handler=_cmd_estimate)
 
-    evaluate_cmd = commands.add_parser("evaluate", help="k seeded runs with summary")
-    common(evaluate_cmd)
+    evaluate_cmd = command("evaluate", "k seeded runs with summary", _cmd_evaluate)
     evaluate_cmd.add_argument("--method", required=True, choices=METHODS)
-    evaluate_cmd.add_argument("--p", required=True, type=_probability)
-    evaluate_cmd.add_argument("--pool", type=_count, default=None)
+    evaluate_cmd.add_argument("--p", required=True, type=float)
+    evaluate_cmd.add_argument("--pool", type=int, default=None)
     experiment(evaluate_cmd)
-    evaluate_cmd.set_defaults(handler=_cmd_evaluate)
 
-    compare_cmd = commands.add_parser("compare", help="naive-vs-priority ratio study")
-    common(compare_cmd)
+    compare_cmd = command("compare", "naive-vs-priority ratio study", _cmd_compare)
     compare_cmd.add_argument("--target-rse", required=True, type=_target_rse)
     experiment(compare_cmd)
-    compare_cmd.set_defaults(handler=_cmd_compare)
 
-    sweep_cmd = commands.add_parser("sweep", help="observed vs predicted RSE per target")
-    common(sweep_cmd)
+    sweep_cmd = command("sweep", "observed vs predicted RSE per target", _cmd_sweep)
     sweep_cmd.add_argument("--method", required=True, choices=METHODS)
     sweep_cmd.add_argument("--targets", required=True, type=_parse_targets,
                            help="comma-separated target RSEs, e.g. 0.1,0.2,0.3,0.4")
     experiment(sweep_cmd)
-    sweep_cmd.set_defaults(handler=_cmd_sweep)
 
-    calibrate_cmd = commands.add_parser("calibrate", help="recommended parameters for a target RSE")
-    common(calibrate_cmd)
+    calibrate_cmd = command("calibrate", "recommended parameters for a target RSE",
+                            _cmd_calibrate)
     calibrate_cmd.add_argument("--target-rse", required=True, type=_target_rse)
-    calibrate_cmd.set_defaults(handler=_cmd_calibrate)
 
     return parser
 

@@ -42,6 +42,26 @@ class InfeasibleError(RuntimeError):
     or an unusable calibration)."""
 
 
+def _check_method(method: str) -> None:
+    if method not in METHODS:
+        raise ValueError(f"method must be one of {METHODS}, got {method!r}")
+
+
+def _check_settings(runs: int, jobs: int, base_seed: int, shuffle: str) -> None:
+    """ExperimentConfig's checks of the settings that do not depend on the
+    method, apart so that a caller holding only these can refuse them
+    before any work."""
+    if shuffle not in SHUFFLE_MODES:
+        raise ValueError(f"shuffle must be one of {SHUFFLE_MODES}, got {shuffle!r}")
+    if runs < 1:
+        raise ValueError(f"runs must be >= 1, got {runs}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    # random.Random seeds with |seed|, so seed -s would repeat run s.
+    if base_seed < 0:
+        raise ValueError(f"base seed must be >= 0, got {base_seed}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One seeded experiment, checked in full here so that no run of it can
@@ -56,10 +76,7 @@ class ExperimentConfig:
     jobs: int = 1
 
     def __post_init__(self) -> None:
-        if self.method not in METHODS:
-            raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
-        if self.shuffle not in SHUFFLE_MODES:
-            raise ValueError(f"shuffle must be one of {SHUFFLE_MODES}, got {self.shuffle!r}")
+        _check_method(self.method)
         if self.method == "pes" and self.pool is None:
             raise ValueError("pes needs a pool size")
         if self.method == "pes" and self.pool < 1:
@@ -67,13 +84,7 @@ class ExperimentConfig:
         if self.method == "nes" and self.pool is not None:
             raise ValueError(f"nes takes no pool size, got pool = {self.pool}")
         _check_probability(self.p)
-        if self.runs < 1:
-            raise ValueError(f"runs must be >= 1, got {self.runs}")
-        if self.jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
-        # random.Random seeds with |seed|, so seed -s would repeat run s.
-        if self.base_seed < 0:
-            raise ValueError(f"base seed must be >= 0, got {self.base_seed}")
+        _check_settings(self.runs, self.jobs, self.base_seed, self.shuffle)
 
 
 @dataclass(frozen=True)
@@ -206,7 +217,9 @@ def calibrated_config(method: str, truth: GraphStats, target_rse: float,
     as ``p == 1.0``.  Every calibrating subcommand comes through here, and
     here a triangle-free graph, a p so small that ``p * p`` is 0, or counts
     past float range (an ArithmeticError) are refused with InfeasibleError;
-    a target that no calibration accepts raises ValueError."""
+    an unknown method or a target that no calibration accepts raises
+    ValueError, the method before any calibration runs."""
+    _check_method(method)
     if truth.triangles == 0:
         raise InfeasibleError("calibration refused: graph has no triangles (triangle count = 0)")
     _required_triangles(target_rse)
@@ -278,8 +291,7 @@ def rse_sweep(
     """One calibrated experiment per target RSE; empty targets yield no
     rows without running the oracle.  Too few runs are refused before the
     oracle runs, and an unusable target before any experiment runs."""
-    if method not in METHODS:
-        raise ValueError(f"method must be one of {METHODS}, got {method!r}")
+    _check_method(method)
     if not targets:
         return ()
     _require_runs(runs)

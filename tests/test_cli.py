@@ -180,20 +180,22 @@ def test_estimate_rejects_bad_probability(capsys, toy_file):
     assert out == ""
 
 
-def refuse_pool_rule(capsys, monkeypatch, tmp_path, *argv: str) -> list[str]:
-    """The stderr of estimate and evaluate on ``argv``, each of which must be
-    refused as a usage error before reading its input, leaving an existing
-    --csv file untouched."""
+def refused_before_reading(capsys, monkeypatch, tmp_path, commands: tuple[str, ...],
+                           *argv: str) -> list[str]:
+    """The stderr of each of ``commands`` on its ``CSV_COMMANDS`` arguments
+    followed by ``argv``, each of which must be refused as a usage error
+    before reading its input, leaving an existing --csv file untouched."""
     def refuse(*args, **kwargs):
-        raise AssertionError("the pool rule was checked after reading the input")
+        raise AssertionError(f"{argv} was checked after reading the input")
 
     monkeypatch.setattr(cli, "load_edge_list", refuse)
     target = tmp_path / "out.csv"
     target.write_text("earlier results\n")
     errors = []
-    for command in ("estimate", "evaluate"):
+    for command in commands:
         code, out, err = run_cli(
-            capsys, command, *argv, "--input", str(TOY_GRAPH_FILE), "--csv", str(target)
+            capsys, command, *CSV_COMMANDS[command], *argv,
+            "--input", str(TOY_GRAPH_FILE), "--csv", str(target),
         )
         assert_failure(1, code, out, err)
         errors.append(err)
@@ -203,13 +205,15 @@ def refuse_pool_rule(capsys, monkeypatch, tmp_path, *argv: str) -> list[str]:
 
 
 def test_estimate_requires_pool_for_pes(capsys, monkeypatch, tmp_path):
-    errors = refuse_pool_rule(capsys, monkeypatch, tmp_path, "--method", "pes", "--p", "0.5")
+    errors = refused_before_reading(
+        capsys, monkeypatch, tmp_path, ("estimate", "evaluate"), "--method", "pes"
+    )
     assert errors == ["error: pes needs a pool size\n"] * 2
 
 
 def test_estimate_rejects_pool_for_nes(capsys, monkeypatch, tmp_path):
-    errors = refuse_pool_rule(
-        capsys, monkeypatch, tmp_path, "--method", "nes", "--p", "0.5", "--pool", "4"
+    errors = refused_before_reading(
+        capsys, monkeypatch, tmp_path, ("estimate", "evaluate"), "--pool", "4"
     )
     assert errors == ["error: nes takes no pool size, got pool = 4\n"] * 2
 
@@ -463,6 +467,19 @@ BAD_NUMBERS = [
 def test_bad_number_is_usage_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv, "--input", str(TOY_GRAPH_FILE))
     assert_failure(1, code, out, err)
+
+
+# Later flags override the CSV_COMMANDS ones; every command that takes the
+# number is checked.
+@pytest.mark.parametrize("commands, argv", [
+    (("estimate", "evaluate"), ("--p", "5e-324")),
+    (("estimate", "evaluate"), ("--method", "pes", "--pool", "0")),
+    (("evaluate", "compare", "sweep"), ("--runs", "0")),
+    (("evaluate", "compare", "sweep"), ("--jobs", "0")),
+    (("estimate", "evaluate", "compare", "sweep"), ("--seed", "-1")),
+], ids=["p 5e-324", "pes pool 0", "runs 0", "jobs 0", "seed -1"])
+def test_bad_number_refused_before_reading_input(capsys, monkeypatch, tmp_path, commands, argv):
+    refused_before_reading(capsys, monkeypatch, tmp_path, commands, *argv)
 
 
 @pytest.mark.parametrize("argv", [

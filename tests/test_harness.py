@@ -182,6 +182,21 @@ def test_calibrated_config_returns_a_config_or_refuses(method, stats, target):
     assert calibrated.method == method
 
 
+@pytest.mark.parametrize("stats", [
+    # Triangle-free: the calibration itself refuses with InfeasibleError.
+    GraphStats(node_count=3, edge_count=2, triangles=0, wedges=1, shared_pairs=0,
+               clustering=0.0),
+    # edge_count / wedges underflows, so the priority calibration divides by 0.
+    GraphStats(node_count=10, edge_count=1, triangles=1, wedges=10**400, shared_pairs=0,
+               clustering=0.0),
+    GraphStats(node_count=11, edge_count=13, triangles=3, wedges=32, shared_pairs=1,
+               clustering=0.28125),
+], ids=["triangle_free", "underflowing_ratio", "toy"])
+def test_calibrated_config_refuses_an_unknown_method_first(stats):
+    with pytest.raises(ValueError, match="method must be one of"):
+        harness.calibrated_config("bogus", stats, 0.3)
+
+
 def test_config_rejects_what_a_run_would():
     # The estimators' own p rule, so no run of a valid config can fail.
     for p in (2.0, 0.0, math.nan, 5e-324):

@@ -48,12 +48,15 @@ EDGELIST = "src/tristream/edgelist.py"
 GENERATORS = "src/tristream/generators.py"
 ESTIMATORS = "src/tristream/estimators.py"
 RANDOMNESS = "src/tristream/randomness.py"
+HARNESS = "src/tristream/harness.py"
+CLI = "src/tristream/cli.py"
 GENERATOR_TESTS = (
     "tests/test_generators.py::test_generators_emit_normalized_edge_lists",
     "tests/test_generators.py::test_generator_edge_lists_match_pinned_digest",
 )
 ESTIMATOR_TESTS = ("tests/test_estimators.py",)
 AUDIT_CASE = "tests/test_estimators.py::test_pool_audit_catches_corruption[{}]"
+SETTINGS_TESTS = ("tests/test_harness.py::test_bad_setting_refused_before_the_oracle",)
 
 # Each condition of WedgePool.audit, and the corruption case that it catches.
 AUDIT_CONDITIONS = (
@@ -199,6 +202,45 @@ MUTANTS = (
         "    closed_count = pool.closed_count\n",
         "    closed_count = pool.closed_count\n",
         ESTIMATOR_TESTS,
+    ),
+    Mutant(
+        "compare checks its settings after the oracle",
+        HARNESS,
+        "    _check_settings(runs, jobs, base_seed, shuffle)\n"
+        "    _require_runs(runs)\n",
+        "    _require_runs(runs)\n",
+        SETTINGS_TESTS,
+    ),
+    Mutant(
+        "sweep checks its settings after the oracle",
+        HARNESS,
+        "    _check_settings(runs, jobs, base_seed, shuffle)\n"
+        "    if not targets:\n",
+        "    if not targets:\n",
+        SETTINGS_TESTS,
+    ),
+    Mutant(
+        "--csv may name the input file",
+        CLI,
+        "if target.exists() and Path(input_path).exists() and target.samefile(input_path):",
+        "if False:",
+        ("tests/test_cli.py::test_csv_naming_the_input_is_refused",),
+    ),
+    Mutant(
+        "evaluate stages --csv before its config",
+        CLI,
+        "    config = ExperimentConfig(\n"
+        "        method=args.method, p=args.p, pool=args.pool, runs=args.runs,"
+        " base_seed=args.seed,\n"
+        "        shuffle=args.shuffle, jobs=args.jobs,\n"
+        "    )\n"
+        "    with _staged_csv(args.csv, args.input) as csv_file:\n",
+        "    with _staged_csv(args.csv, args.input) as csv_file:\n"
+        "        config = ExperimentConfig(\n"
+        "            method=args.method, p=args.p, pool=args.pool, runs=args.runs,\n"
+        "            base_seed=args.seed, shuffle=args.shuffle, jobs=args.jobs,\n"
+        "        )\n",
+        ("tests/test_cli.py::test_bad_number_refused_before_reading_input",),
     ),
     *(
         Mutant(f"audit misses {case}", ESTIMATORS, f"if {condition}:", "if False:",

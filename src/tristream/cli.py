@@ -4,8 +4,9 @@ One binary, six subcommands: stats, estimate, evaluate, compare, sweep,
 calibrate.  Results go to stdout, diagnostics to stderr.  All randomness
 flows from --seed, so identical argv gives byte-identical stdout.
 
-Exit codes: 0 success, 1 usage error, 2 data error (unreadable or malformed
-input), 3 experiment infeasible (e.g. no triangles for compare/calibrate).
+Exit codes, in the order a subcommand checks for them, so that of two faults
+the first listed wins: 1 usage error, 2 unwritable --csv path (or the input
+file), 2 unreadable or malformed input, 3 experiment infeasible; 0 success.
 """
 
 from __future__ import annotations
@@ -95,13 +96,13 @@ def _parse_targets(text: str) -> list[float]:
 
 
 @contextmanager
-def _staged_csv(csv_path: str | None) -> Iterator[IO[str] | None]:
+def _staged_csv(csv_path: str | None, input_path: str) -> Iterator[IO[str] | None]:
     """A temporary file beside ``csv_path`` that replaces it when the block
     succeeds and is removed when it fails; None without a path.
 
-    The temporary file is created on entry, before any input is read or
-    estimator run, so an unwritable target fails first, and a failed
-    command leaves an existing file at ``csv_path`` untouched.
+    A handler enters it after every usage check and before it reads
+    ``input_path``, which the target may not be; a failed command leaves
+    an existing file at ``csv_path`` untouched.
     """
     if csv_path is None:
         yield None
@@ -109,6 +110,8 @@ def _staged_csv(csv_path: str | None) -> Iterator[IO[str] | None]:
     target = Path(os.path.realpath(csv_path))
     if target.is_dir():
         raise IsADirectoryError(f"--csv target is a directory: {csv_path}")
+    if target.exists() and Path(input_path).exists() and target.samefile(input_path):
+        raise OSError(f"--csv target is the input file: {csv_path}")
     staged = target.with_name(f".{target.name}.{os.getpid()}.tmp")
     try:
         handle = open(staged, "x", newline="", encoding="utf-8")
@@ -140,93 +143,98 @@ def _report(csv_file: IO[str] | None, lines: Sequence[str], columns: Collection[
     return ExitStatus.OK
 
 
-def _cmd_stats(args: argparse.Namespace, csv_file: IO[str] | None) -> int:
+def _cmd_stats(args: argparse.Namespace) -> int:
     row = stats_csv_row(compute_stats(build_adjacency(load_edge_list(args.input))))
     return _report(None, [_line(row)], row.keys(), [row], table_on_stdout=True)
 
 
-def _cmd_estimate(args: argparse.Namespace, csv_file: IO[str] | None) -> int:
+def _cmd_estimate(args: argparse.Namespace) -> int:
     # Run 0 of the experiment seeded by --seed; "fixed" keeps the file order.
     config = ExperimentConfig(
         method=args.method, p=args.p, pool=args.pool, runs=1, base_seed=args.seed,
         shuffle="fixed" if args.shuffle == "none" else "per-run",
     )
-    row = estimate_csv_row(single_run(load_edge_list(args.input), config))
-    return _report(csv_file, [_line(row)], row.keys(), [row])
+    with _staged_csv(args.csv, args.input) as csv_file:
+        row = estimate_csv_row(single_run(load_edge_list(args.input), config))
+        return _report(csv_file, [_line(row)], row.keys(), [row])
 
 
-def _cmd_evaluate(args: argparse.Namespace, csv_file: IO[str] | None) -> int:
+def _cmd_evaluate(args: argparse.Namespace) -> int:
     config = ExperimentConfig(
         method=args.method, p=args.p, pool=args.pool, runs=args.runs, base_seed=args.seed,
         shuffle=args.shuffle, jobs=args.jobs,
     )
-    summary = run_experiment(load_edge_list(args.input), config)
-    row = summary_csv_row(summary)
-    setup = ["method", "p", "pool", "runs", "base_seed", "shuffle"]
-    if config.pool is None:
-        setup.remove("pool")
-    lines = [
-        _line(row, setup),
-        _line(stats_csv_row(summary.stats)),
-        _line(row, ("mean_estimate", "observed_rse", "mean_triangles_observed",
-                    "mean_sample_size", "predicted_rse")),
-    ]
-    return _report(csv_file, lines, row.keys(), [row])
+    with _staged_csv(args.csv, args.input) as csv_file:
+        summary = run_experiment(load_edge_list(args.input), config)
+        row = summary_csv_row(summary)
+        setup = ["method", "p", "pool", "runs", "base_seed", "shuffle"]
+        if config.pool is None:
+            setup.remove("pool")
+        lines = [
+            _line(row, setup),
+            _line(stats_csv_row(summary.stats)),
+            _line(row, ("mean_estimate", "observed_rse", "mean_triangles_observed",
+                        "mean_sample_size", "predicted_rse")),
+        ]
+        return _report(csv_file, lines, row.keys(), [row])
 
 
-def _cmd_compare(args: argparse.Namespace, csv_file: IO[str] | None) -> int:
+def _cmd_compare(args: argparse.Namespace) -> int:
     _check_settings(args.runs, args.jobs, args.seed, args.shuffle)
-    edges = load_edge_list(args.input)
-    report = ratio_experiment(
-        edges,
-        args.target_rse,
-        args.runs,
-        args.seed,
-        jobs=args.jobs,
-        shuffle=args.shuffle,
-        input_name=str(args.input),
-    )
-    row = ratio_csv_row(report)
-    lines = [
-        _line(row, ("target_rse", "runs", "nes_p", "pes_p", "pes_pool", "saturated")),
-        _line(stats_csv_row(report.nes_summary.stats)),
-        _line(row, ("nes_observed_rse", "pes_observed_rse", "observed_size_ratio",
-                    "observed_probability_ratio", "predicted_ratio")),
-    ]
-    note = "calibration clamped at p = 1; ratios are not meaningful" if report.saturated else None
-    return _report(csv_file, lines, row.keys(), [row], note=note)
+    with _staged_csv(args.csv, args.input) as csv_file:
+        report = ratio_experiment(
+            load_edge_list(args.input),
+            args.target_rse,
+            args.runs,
+            args.seed,
+            jobs=args.jobs,
+            shuffle=args.shuffle,
+            input_name=str(args.input),
+        )
+        row = ratio_csv_row(report)
+        lines = [
+            _line(row, ("target_rse", "runs", "nes_p", "pes_p", "pes_pool", "saturated")),
+            _line(stats_csv_row(report.nes_summary.stats)),
+            _line(row, ("nes_observed_rse", "pes_observed_rse", "observed_size_ratio",
+                        "observed_probability_ratio", "predicted_ratio")),
+        ]
+        note = ("calibration clamped at p = 1; ratios are not meaningful"
+                if report.saturated else None)
+        return _report(csv_file, lines, row.keys(), [row], note=note)
 
 
-def _cmd_sweep(args: argparse.Namespace, csv_file: IO[str] | None) -> int:
+def _cmd_sweep(args: argparse.Namespace) -> int:
     _check_settings(args.runs, args.jobs, args.seed, args.shuffle)
-    edges = load_edge_list(args.input)
-    rows = rse_sweep(
-        edges, args.targets, args.method, args.runs, args.seed,
-        jobs=args.jobs, shuffle=args.shuffle,
-    )
-    return _report(csv_file, [], SWEEP_CSV_COLUMNS, sweep_csv_rows(rows), table_on_stdout=True)
+    with _staged_csv(args.csv, args.input) as csv_file:
+        rows = rse_sweep(
+            load_edge_list(args.input), args.targets, args.method, args.runs, args.seed,
+            jobs=args.jobs, shuffle=args.shuffle,
+        )
+        return _report(csv_file, [], SWEEP_CSV_COLUMNS, sweep_csv_rows(rows), table_on_stdout=True)
 
 
-def _cmd_calibrate(args: argparse.Namespace, csv_file: IO[str] | None) -> int:
-    edges = load_edge_list(args.input)
-    stats = compute_stats(build_adjacency(edges))
-    # Refused as compare refuses it, in the same order: NES, then PES.
-    nes = calibrated_config("nes", stats, args.target_rse)
-    pes = calibrated_config("pes", stats, args.target_rse)
-    pool_rule = calibrate_pes_pool(args.target_rse, stats.clustering, wedge_cap=stats.wedges)
-    variance = rse_full = note = None
-    try:
-        params = PesParams(p=pes.p, pool=pes.pool)
-        variance = pes_variance(stats, params)
-        rse_full = pes_rse_full(stats, params)
-    except ValueError as err:
-        note = f"variance prediction unavailable: {err}"
-    row = calibrate_csv_row(args.target_rse, nes, pes, pool_rule, variance, rse_full)
-    lines = [
-        _line(stats_csv_row(stats)),
-        _line(row, ("nes_p", "nes_clamped", "pes_p", "pes_pool", "pes_clamped", "pool_rule_n")),
-    ]
-    return _report(csv_file, lines, row.keys(), [row], table_on_stdout=True, note=note)
+def _cmd_calibrate(args: argparse.Namespace) -> int:
+    with _staged_csv(args.csv, args.input) as csv_file:
+        edges = load_edge_list(args.input)
+        stats = compute_stats(build_adjacency(edges))
+        # Refused as compare refuses it, in the same order: NES, then PES.
+        nes = calibrated_config("nes", stats, args.target_rse)
+        pes = calibrated_config("pes", stats, args.target_rse)
+        pool_rule = calibrate_pes_pool(args.target_rse, stats.clustering, wedge_cap=stats.wedges)
+        variance = rse_full = note = None
+        try:
+            params = PesParams(p=pes.p, pool=pes.pool)
+            variance = pes_variance(stats, params)
+            rse_full = pes_rse_full(stats, params)
+        except ValueError as err:
+            note = f"variance prediction unavailable: {err}"
+        row = calibrate_csv_row(args.target_rse, nes, pes, pool_rule, variance, rse_full)
+        lines = [
+            _line(stats_csv_row(stats)),
+            _line(row, ("nes_p", "nes_clamped", "pes_p", "pes_pool", "pes_clamped",
+                        "pool_rule_n")),
+        ]
+        return _report(csv_file, lines, row.keys(), [row], table_on_stdout=True, note=note)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -288,8 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        with _staged_csv(getattr(args, "csv", None)) as csv_file:
-            return args.handler(args, csv_file)
+        return args.handler(args)
     except SystemExit as exc:  # --help paths
         return ExitStatus.OK if exc.code in (0, None) else ExitStatus.USAGE_ERROR
     except (ParseError, OSError) as err:  # ParseError before its base ValueError

@@ -251,8 +251,9 @@ def ratio_experiment(
     The observed probability ratio is measured from the runs as the ratio of
     mean subgraph sizes (each estimates p * M).  A calibration clamped at
     p = 1 marks the report saturated: the ratio is not meaningful there.
-    Too few runs are refused before the oracle runs.
+    Bad settings and too few runs are refused before the oracle runs.
     """
+    _check_settings(runs, jobs, base_seed, shuffle)
     _require_runs(runs)
     truth = compute_stats(build_adjacency(edges))
     common = dict(runs=runs, base_seed=base_seed, shuffle=shuffle, jobs=jobs)
@@ -288,10 +289,11 @@ def rse_sweep(
     jobs: int = 1,
     shuffle: str = "per-run",
 ) -> tuple[SweepRow, ...]:
-    """One calibrated experiment per target RSE; empty targets yield no
-    rows without running the oracle.  Too few runs are refused before the
-    oracle runs, and an unusable target before any experiment runs."""
+    """One calibrated experiment per target RSE.  Bad settings are refused
+    first; empty targets then yield no rows without running the oracle, too
+    few runs are refused before it, and an unusable target before any run."""
     _check_method(method)
+    _check_settings(runs, jobs, base_seed, shuffle)
     if not targets:
         return ()
     _require_runs(runs)

@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -184,7 +185,8 @@ def refused_before_reading(capsys, monkeypatch, tmp_path, commands: tuple[str, .
                            *argv: str) -> list[str]:
     """The stderr of each of ``commands`` on its ``CSV_COMMANDS`` arguments
     followed by ``argv``, each of which must be refused as a usage error
-    before reading its input, leaving an existing --csv file untouched."""
+    before reading its input, with --csv naming an existing file (left
+    untouched) or a file in a missing directory (left uncreated)."""
     def refuse(*args, **kwargs):
         raise AssertionError(f"{argv} was checked after reading the input")
 
@@ -193,12 +195,13 @@ def refused_before_reading(capsys, monkeypatch, tmp_path, commands: tuple[str, .
     target.write_text("earlier results\n")
     errors = []
     for command in commands:
-        code, out, err = run_cli(
-            capsys, command, *CSV_COMMANDS[command], *argv,
-            "--input", str(TOY_GRAPH_FILE), "--csv", str(target),
-        )
-        assert_failure(1, code, out, err)
-        errors.append(err)
+        for csv_path in (target, tmp_path / "missing" / "out.csv"):
+            code, out, err = run_cli(
+                capsys, command, *CSV_COMMANDS[command], *argv,
+                "--input", str(TOY_GRAPH_FILE), "--csv", str(csv_path),
+            )
+            assert_failure(1, code, out, err)
+            errors.append(err)
     assert target.read_text() == "earlier results\n"
     assert [path.name for path in tmp_path.iterdir()] == ["out.csv"]
     return errors
@@ -208,14 +211,14 @@ def test_estimate_requires_pool_for_pes(capsys, monkeypatch, tmp_path):
     errors = refused_before_reading(
         capsys, monkeypatch, tmp_path, ("estimate", "evaluate"), "--method", "pes"
     )
-    assert errors == ["error: pes needs a pool size\n"] * 2
+    assert errors == ["error: pes needs a pool size\n"] * 4
 
 
 def test_estimate_rejects_pool_for_nes(capsys, monkeypatch, tmp_path):
     errors = refused_before_reading(
         capsys, monkeypatch, tmp_path, ("estimate", "evaluate"), "--pool", "4"
     )
-    assert errors == ["error: nes takes no pool size, got pool = 4\n"] * 2
+    assert errors == ["error: nes takes no pool size, got pool = 4\n"] * 4
 
 
 def test_estimate_deterministic_stdout(capsys, toy_file):
@@ -292,19 +295,6 @@ def test_estimate_shuffle_none_streams_the_file_order(capsys, method):
         result = pes_run(edges, 0.6, 6, SeededSource(5))
     assert code == 0
     assert out == cli._line(estimate_csv_row(result)) + "\n"
-
-
-@pytest.mark.parametrize("command", ["estimate", "evaluate"])
-def test_bad_probability_refused_before_reading_input(capsys, monkeypatch, command):
-    def refuse(*args, **kwargs):
-        raise AssertionError(f"{command} read its input before checking --p")
-
-    monkeypatch.setattr(cli, "load_edge_list", refuse)
-    code, out, err = run_cli(
-        capsys, command, "--method", "nes", "--p", "5e-324", "--input", str(TOY_GRAPH_FILE)
-    )
-    assert_failure(1, code, out, err)
-    assert "p * p is 0" in err
 
 
 # ---------------------------------------------------------------------------
@@ -627,6 +617,20 @@ def test_unwritable_csv_prints_nothing(capsys, toy_file, tmp_path, monkeypatch, 
     assert sorted(path.name for path in tmp_path.iterdir()) == ["toy.txt"]
 
 
+@pytest.mark.parametrize("command", CSV_COMMANDS)
+def test_csv_naming_the_input_is_refused(capsys, toy_file, tmp_path, command):
+    link = tmp_path / "link.txt"
+    link.symlink_to(toy_file)
+    for target in (toy_file, link):
+        code, out, err = run_cli(
+            capsys, command, "--input", str(toy_file), *CSV_COMMANDS[command], "--csv", str(target)
+        )
+        assert_data_error(code, out, err)
+        assert "--csv target is the input file" in err
+    assert toy_file.read_text() == TOY_TEXT
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["link.txt", "toy.txt"]
+
+
 def test_failed_experiment_leaves_csv_untouched(capsys, toy_file, tmp_path):
     target = tmp_path / "out.csv"
     target.write_text("earlier results\n")
@@ -649,6 +653,60 @@ def test_csv_replaces_existing_file_on_success(capsys, toy_file, tmp_path):
     assert code == 0
     assert target.read_text() == "\n".join(out.splitlines()[2:]) + "\n"
     assert sorted(path.name for path in tmp_path.iterdir()) == ["out.csv", "toy.txt"]
+
+
+# ---------------------------------------------------------------------------
+# Refusal order
+# ---------------------------------------------------------------------------
+
+# Each command's bad number and a part of the message that refuses it.
+BAD_NUMBER = {
+    "estimate": (("--p", "5e-324"), "p * p is 0"),
+    "evaluate": (("--p", "5e-324"), "p * p is 0"),
+    "compare": (("--seed", "-1"), "base seed must be >= 0"),
+    "sweep": (("--runs", "0"), "runs must be >= 1"),
+    "calibrate": (("--target-rse", "0"), "target RSE must be finite and positive"),
+}
+
+# The documented order: of two faults, the first listed here is reported.
+FAULTS = ("bad number", "csv is input", "unwritable csv", "missing input", "triangle-free")
+# A --csv path that is the input exists, and so does a triangle-free input.
+EXCLUSIVE = ({"csv is input", "unwritable csv"}, {"csv is input", "missing input"},
+             {"missing input", "triangle-free"})
+FAULT_PAIRS = [pair for pair in combinations(FAULTS, 2) if set(pair) not in EXCLUSIVE]
+
+
+@pytest.mark.parametrize("faults", FAULT_PAIRS, ids=" + ".join)
+@pytest.mark.parametrize("command", CSV_COMMANDS)
+def test_first_fault_in_order_is_reported(capsys, monkeypatch, tmp_path, command, faults):
+    reads = []
+    monkeypatch.setattr(cli, "load_edge_list",
+                        lambda path: reads.append(path) or load_edge_list(path))
+    graph = tmp_path / "graph.txt"
+    graph.write_text("0 1\n0 2\n0 3\n0 4\n" if "triangle-free" in faults else TOY_TEXT)
+    original = graph.read_bytes()
+    input_path = tmp_path / "absent.txt" if "missing input" in faults else graph
+    csv_path = tmp_path / "out.csv"
+    if "csv is input" in faults:
+        csv_path = input_path
+    if "unwritable csv" in faults:
+        csv_path = tmp_path / "missing" / "out.csv"
+    bad_argv, bad_message = BAD_NUMBER[command]
+    code, out, err = run_cli(
+        capsys, command, *CSV_COMMANDS[command], *(bad_argv if "bad number" in faults else ()),
+        "--input", str(input_path), "--csv", str(csv_path),
+    )
+    expected_code, message = {
+        "bad number": (1, bad_message),
+        "csv is input": (2, "--csv target is the input file"),
+        "unwritable csv": (2, "cannot write --csv file"),
+        "missing input": (2, "absent.txt"),
+    }[faults[0]]
+    assert_failure(expected_code, code, out, err)
+    assert message in err
+    assert len(reads) == (faults[0] == "missing input")
+    assert graph.read_bytes() == original
+    assert [path.name for path in tmp_path.iterdir()] == ["graph.txt"]
 
 
 # ---------------------------------------------------------------------------

@@ -132,6 +132,23 @@ def test_too_few_runs_refused_before_the_oracle(small_graph, monkeypatch, study)
             rse_sweep(small_graph, [0.3], "pes", 1, 0)
 
 
+@pytest.mark.parametrize("name, value", [("runs", 0), ("jobs", 0), ("base_seed", -1),
+                                         ("shuffle", "bogus")])
+@pytest.mark.parametrize("study", ["compare", "sweep", "sweep without targets"])
+def test_bad_setting_refused_before_the_oracle(small_graph, monkeypatch, study, name, value):
+    calls = []
+    oracle = harness.compute_stats
+    monkeypatch.setattr(harness, "compute_stats",
+                        lambda adjacency: calls.append(adjacency) or oracle(adjacency))
+    arguments = {"runs": 5, "base_seed": 0, "jobs": 1, "shuffle": "per-run", name: value}
+    with pytest.raises(ValueError, match=name.replace("_", " ")):
+        if study == "compare":
+            ratio_experiment(small_graph, 0.3, **arguments)
+        else:
+            rse_sweep(small_graph, [0.3] if study == "sweep" else [], "nes", **arguments)
+    assert calls == []
+
+
 def test_triangle_free_graph_is_infeasible():
     star = EdgeList(tuple(make_edge(0, leaf) for leaf in range(1, 9)))
     with pytest.raises(InfeasibleError, match="no triangles"):

@@ -56,7 +56,6 @@ GENERATOR_TESTS = (
 )
 ESTIMATOR_TESTS = ("tests/test_estimators.py",)
 AUDIT_CASE = "tests/test_estimators.py::test_pool_audit_catches_corruption[{}]"
-SETTINGS_TESTS = ("tests/test_harness.py::test_bad_setting_refused_before_the_oracle",)
 
 # Each condition of WedgePool.audit, and the corruption case that it catches.
 AUDIT_CONDITIONS = (
@@ -204,20 +203,19 @@ MUTANTS = (
         ESTIMATOR_TESTS,
     ),
     Mutant(
-        "compare checks its settings after the oracle",
+        "compare and sweep check their settings after the oracle",
         HARNESS,
         "    _check_settings(runs, jobs, base_seed, shuffle)\n"
-        "    _require_runs(runs)\n",
-        "    _require_runs(runs)\n",
-        SETTINGS_TESTS,
-    ),
-    Mutant(
-        "sweep checks its settings after the oracle",
-        HARNESS,
-        "    _check_settings(runs, jobs, base_seed, shuffle)\n"
-        "    if not targets:\n",
-        "    if not targets:\n",
-        SETTINGS_TESTS,
+        "    if not plan:\n"
+        "        return []\n"
+        "    _require_runs(runs)\n"
+        "    truth = compute_stats(build_adjacency(edges))\n",
+        "    if not plan:\n"
+        "        return []\n"
+        "    _require_runs(runs)\n"
+        "    truth = compute_stats(build_adjacency(edges))\n"
+        "    _check_settings(runs, jobs, base_seed, shuffle)\n",
+        ("tests/test_harness.py::test_bad_setting_refused_before_the_oracle",),
     ),
     Mutant(
         "--csv may name the input file",
@@ -241,6 +239,13 @@ MUTANTS = (
         "            base_seed=args.seed, shuffle=args.shuffle, jobs=args.jobs,\n"
         "        )\n",
         ("tests/test_cli.py::test_bad_number_refused_before_reading_input",),
+    ),
+    Mutant(
+        "calibrate prints no note where the variance theory refuses",
+        CLI,
+        'note = f"variance prediction unavailable: {err}"',
+        "note = None",
+        ("tests/test_cli.py::test_calibrate_notes_unavailable_variance_prediction",),
     ),
     *(
         Mutant(f"audit misses {case}", ESTIMATORS, f"if {condition}:", "if False:",

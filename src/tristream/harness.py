@@ -235,6 +235,22 @@ def calibrated_config(method: str, truth: GraphStats, target_rse: float,
     return ExperimentConfig(method=method, p=p, pool=pool, **experiment)
 
 
+def _calibrated_summaries(edges: EdgeList, plan: Sequence[tuple[str, float]], runs: int,
+                          base_seed: int, jobs: int, shuffle: str) -> list[RunSummary]:
+    """One calibrated experiment per ``(method, target_rse)`` of ``plan``,
+    in order, on one exact oracle.  Bad settings are refused first; an empty
+    plan then yields none without the oracle, too few runs are refused
+    before it, and an unusable calibration before any run."""
+    _check_settings(runs, jobs, base_seed, shuffle)
+    if not plan:
+        return []
+    _require_runs(runs)
+    truth = compute_stats(build_adjacency(edges))
+    configs = [calibrated_config(method, truth, target, runs=runs, base_seed=base_seed,
+                                 shuffle=shuffle, jobs=jobs) for method, target in plan]
+    return [run_experiment(edges, config, stats=truth) for config in configs]
+
+
 def ratio_experiment(
     edges: EdgeList,
     target_rse: float,
@@ -251,16 +267,11 @@ def ratio_experiment(
     The observed probability ratio is measured from the runs as the ratio of
     mean subgraph sizes (each estimates p * M).  A calibration clamped at
     p = 1 marks the report saturated: the ratio is not meaningful there.
-    Bad settings and too few runs are refused before the oracle runs.
     """
-    _check_settings(runs, jobs, base_seed, shuffle)
-    _require_runs(runs)
-    truth = compute_stats(build_adjacency(edges))
-    common = dict(runs=runs, base_seed=base_seed, shuffle=shuffle, jobs=jobs)
-    nes = calibrated_config("nes", truth, target_rse, **common)
-    pes = calibrated_config("pes", truth, target_rse, **common)
-    nes_summary = run_experiment(edges, nes, stats=truth)
-    pes_summary = run_experiment(edges, pes, stats=truth)
+    nes_summary, pes_summary = _calibrated_summaries(
+        edges, [("nes", target_rse), ("pes", target_rse)], runs, base_seed, jobs, shuffle
+    )
+    nes, pes, truth = nes_summary.config, pes_summary.config, nes_summary.stats
     mean_subgraph_nes = fmean(r.subgraph_edges for r in nes_summary.results)
     mean_subgraph_pes = fmean(r.subgraph_edges for r in pes_summary.results)
     if mean_subgraph_pes == 0:
@@ -289,30 +300,18 @@ def rse_sweep(
     jobs: int = 1,
     shuffle: str = "per-run",
 ) -> tuple[SweepRow, ...]:
-    """One calibrated experiment per target RSE.  Bad settings are refused
-    first; empty targets then yield no rows without running the oracle, too
-    few runs are refused before it, and an unusable target before any run."""
+    """One calibrated experiment of ``method`` per target RSE."""
     _check_method(method)
-    _check_settings(runs, jobs, base_seed, shuffle)
-    if not targets:
-        return ()
-    _require_runs(runs)
-    truth = compute_stats(build_adjacency(edges))
-    common = dict(runs=runs, base_seed=base_seed, shuffle=shuffle, jobs=jobs)
-    configs = [calibrated_config(method, truth, target, **common) for target in targets]
-    rows: list[SweepRow] = []
-    for target, config in zip(targets, configs):
-        summary = run_experiment(edges, config, stats=truth)
-        rows.append(
-            SweepRow(
-                target_rse=target,
-                observed_rse=summary.observed_rse,
-                predicted_rse=summary.predicted_rse,
-                mean_triangles_observed=summary.mean_triangles_observed,
-                mean_sample_size=summary.mean_sample_size,
-            )
-        )
-    return tuple(rows)
+    summaries = _calibrated_summaries(
+        edges, [(method, target) for target in targets], runs, base_seed, jobs, shuffle
+    )
+    return tuple(
+        SweepRow(target_rse=target, observed_rse=summary.observed_rse,
+                 predicted_rse=summary.predicted_rse,
+                 mean_triangles_observed=summary.mean_triangles_observed,
+                 mean_sample_size=summary.mean_sample_size)
+        for target, summary in zip(targets, summaries)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -417,6 +417,28 @@ def test_calibrate_triangle_free_exits_infeasible(capsys, tmp_path):
     assert "triangle count = 0" in err
 
 
+@pytest.mark.parametrize("text, target", [
+    ("0 1\n1 2\n0 2\n", "2"),  # p * wedges = 0.75 <= 1
+    ("0 1\n1 2\n0 2\n3 4\n4 5\n3 5\n", "0.9"),  # q = 1.08 > 1
+])
+def test_calibrate_notes_unavailable_variance_prediction(capsys, tmp_path, text, target):
+    path = tmp_path / "triangles.txt"
+    path.write_text(text)
+    csv_path = tmp_path / "out.csv"
+    code, out, err = run_cli(capsys, "calibrate", "--input", str(path), "--target-rse", target,
+                             "--csv", str(csv_path))
+    assert code == 0
+    stats_line, parameter_line, *table = out.splitlines()
+    assert stats_line.startswith("N=") and parameter_line.startswith("nes_p=")
+    header, row = (line.split(",") for line in table)
+    predictions = dict(zip(header, row))
+    columns = header[header.index("predicted_var_total"):]
+    assert columns[-1] == "predicted_rse_full"
+    assert all(predictions[column] == "" for column in columns)
+    assert csv_path.read_text() == "\n".join(table) + "\n"
+    assert err.startswith("note: variance prediction unavailable:") and err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # Numeric arguments
 # ---------------------------------------------------------------------------

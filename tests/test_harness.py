@@ -359,6 +359,29 @@ def test_ratio_experiment_tracks_prediction():
     assert report.input_name == "er120"
 
 
+@pytest.mark.parametrize("shuffle, jobs", [("per-run", 1), ("fixed", 1), ("per-run", 2)])
+def test_calibrated_runs_equal_standalone_runs(small_graph, monkeypatch, shuffle, jobs):
+    """compare and sweep run each calibrated config exactly as evaluate
+    would run that config alone."""
+    standalone = harness.run_experiment
+    summaries = []
+
+    def recorded(*args, **kwargs):
+        summaries.append(standalone(*args, **kwargs))
+        return summaries[-1]
+
+    monkeypatch.setattr(harness, "run_experiment", recorded)
+    report = ratio_experiment(small_graph, 0.3, 12, 7, jobs=jobs, shuffle=shuffle)
+    assert summaries == [report.nes_summary, report.pes_summary]
+    rows = rse_sweep(small_graph, [0.2, 0.4], "pes", 12, 7, jobs=jobs, shuffle=shuffle)
+    assert [summary.observed_rse for summary in summaries[2:]] == [row.observed_rse
+                                                                    for row in rows]
+    assert [summary.config.method for summary in summaries] == ["nes", "pes", "pes", "pes"]
+    for summary in summaries:
+        assert summary.config.shuffle == shuffle and summary.config.jobs == jobs
+        assert summary.results == standalone(small_graph, summary.config).results
+
+
 def test_ratio_csv_written():
     graph = erdos_renyi(60, 0.25, seed=8)
     report = ratio_experiment(graph, 0.3, 60, 5, input_name="er60")

@@ -45,6 +45,7 @@ class Mutant:
 
 
 EDGELIST = "src/tristream/edgelist.py"
+ORACLE = "src/tristream/oracle.py"
 GENERATORS = "src/tristream/generators.py"
 ESTIMATORS = "src/tristream/estimators.py"
 RANDOMNESS = "src/tristream/randomness.py"
@@ -74,30 +75,37 @@ MUTANTS = (
     Mutant(
         "parse splits on newline only",
         EDGELIST,
-        "text.splitlines()",
-        'text.split("\\n")',
+        "text[start:end].splitlines()",
+        'text[start:end].split("\\n")',
+        ("tests/test_edgelist.py::test_parser_matches_two_pass_reference",),
+    ),
+    Mutant(
+        "parse chunk ends before its newline",
+        EDGELIST,
+        "end = size if end < 0 else end + 1",
+        "end = size if end < 0 else end",
         ("tests/test_edgelist.py::test_parser_matches_two_pass_reference",),
     ),
     Mutant(
         "parse keeps a repeat's last place",
         EDGELIST,
-        "        if a < b:\n"
-        "            first[a, b] = None\n"
-        "        elif b < a:\n"
-        "            first[b, a] = None\n",
-        "        if a < b:\n"
-        "            first.pop((a, b), None)\n"
-        "            first[a, b] = None\n"
-        "        elif b < a:\n"
-        "            first.pop((b, a), None)\n"
-        "            first[b, a] = None\n",
+        "            if a < b:\n"
+        "                first[a, b] = None\n"
+        "            elif b < a:\n"
+        "                first[b, a] = None\n",
+        "            if a < b:\n"
+        "                first.pop((a, b), None)\n"
+        "                first[a, b] = None\n"
+        "            elif b < a:\n"
+        "                first.pop((b, a), None)\n"
+        "                first[b, a] = None\n",
         ("tests/test_edgelist.py::test_parse_preserves_first_occurrence_order",),
     ),
     Mutant(
         "parse keeps self-loops",
         EDGELIST,
-        "        elif b < a:\n",
-        "        else:\n",
+        "            elif b < a:\n",
+        "            else:\n",
         ("tests/test_edgelist.py::test_parse_drops_self_loops_and_duplicates",),
     ),
     Mutant(
@@ -113,6 +121,20 @@ MUTANTS = (
         'data.decode("utf-8-sig")',
         'data.decode("utf-8")',
         ("tests/test_edgelist.py::test_load_skips_byte_order_mark",),
+    ),
+    Mutant(
+        "census counts an equal-degree edge from both ends",
+        ORACLE,
+        "len(others) == degree and v < u",
+        "len(others) == degree",
+        ("tests/test_oracle.py::test_counts_match_brute_force",),
+    ),
+    Mutant(
+        "census accepts a repeated neighbor",
+        ORACLE,
+        "if len(members) != degree:",
+        "if False:",
+        ("tests/test_oracle.py::test_unnormalized_edge_list_rejected",),
     ),
     Mutant(
         "BA emits each edge newer endpoint first",

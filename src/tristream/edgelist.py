@@ -22,6 +22,7 @@ NodeId = int
 
 _GZIP_MAGIC = b"\x1f\x8b"
 _COMMENT_PREFIXES = ("#", "%")
+_CHUNK = 1 << 16  # least characters per chunk the parse splits into lines
 
 
 class ParseError(ValueError):
@@ -46,7 +47,7 @@ class EdgeList:
     """A normalized sequence of undirected edges; the order is the stream order.
 
     Normalized: no self-loops or repeated edges, each smaller endpoint first,
-    unchecked on construction.  ``build_adjacency`` refuses loops and repeats
+    unchecked on construction.  ``compute_stats`` refuses loops and repeats
     but not a reversed pair, which ``pes_run``'s pair index needs canonical.
     """
 
@@ -70,31 +71,43 @@ def parse_edge_text(text: str) -> EdgeList:
     ``str.split`` skips the same whitespace as ``str.strip``, so a line
     with no tokens is blank.  Raises ParseError (naming the line) on a
     non-integer or negative endpoint.  Empty input yields an empty EdgeList.
+    The text is split a chunk of whole lines at a time, into exactly the
+    lines of ``text.splitlines()``, so the full line list is never held.
     """
     first: dict[Edge, None] = {}
-    for line_number, line in enumerate(text.splitlines(), start=1):
-        tokens = line.split()
-        if not tokens:
-            continue
-        try:
-            a = int(tokens[0])
-            b = int(tokens[1])
-        except (ValueError, IndexError):
-            # A comment's first token never reads as an integer, so comments
-            # and short lines are told apart only on this path.
-            if tokens[0].startswith(_COMMENT_PREFIXES):
+    line_number = 0
+    start, size = 0, len(text)
+    while start < size:
+        # A chunk ends just after the first "\n" past _CHUNK characters, so
+        # no line, "\r\n" included, spans two chunks.
+        end = text.find("\n", start + _CHUNK)
+        end = size if end < 0 else end + 1
+        for line_number, line in enumerate(text[start:end].splitlines(), line_number + 1):
+            tokens = line.split()
+            if not tokens:
                 continue
-            if len(tokens) < 2:
+            try:
+                a = int(tokens[0])
+                b = int(tokens[1])
+            except (ValueError, IndexError):
+                # A comment's first token never reads as an integer, so
+                # comments and short lines are told apart only on this path.
+                if tokens[0].startswith(_COMMENT_PREFIXES):
+                    continue
+                if len(tokens) < 2:
+                    raise ParseError(
+                        line_number, f"expected two integer endpoints, got {line.strip()!r}"
+                    ) from None
                 raise ParseError(
-                    line_number, f"expected two integer endpoints, got {line.strip()!r}"
+                    line_number, f"non-integer endpoint in {line.strip()!r}"
                 ) from None
-            raise ParseError(line_number, f"non-integer endpoint in {line.strip()!r}") from None
-        if a < 0 or b < 0:
-            raise ParseError(line_number, f"negative node id in {line.strip()!r}")
-        if a < b:
-            first[a, b] = None
-        elif b < a:
-            first[b, a] = None
+            if a < 0 or b < 0:
+                raise ParseError(line_number, f"negative node id in {line.strip()!r}")
+            if a < b:
+                first[a, b] = None
+            elif b < a:
+                first[b, a] = None
+        start = end
     return EdgeList(tuple(first))
 
 

@@ -1,10 +1,13 @@
 """Exact ground-truth graph statistics.
 
-The graph is its neighbor-set dict alone.  The triangles through an edge are
-the common neighbors of its endpoints, counted by one set intersection per
-edge, each edge visited once from its smaller endpoint.  Summing over the
-edges sees every triangle three times, and the same per-edge counts give the
-pairs of triangles that share an edge.
+The graph is a dict of neighbor lists alone.  The triangles through an edge
+are the common neighbors of its endpoints.  Each edge is counted once, from
+its endpoint of larger (degree, id): that endpoint's neighbors go into one
+set, and the other endpoint's list is probed against it, so one set is alive
+at a time (Latapy, "Main-memory triangle computations for very large (sparse
+(power-law)) graphs", TCS 407, 2008).  Summing over the edges sees every
+triangle three times, and the same per-edge counts give the pairs of
+triangles that share an edge.
 """
 
 from __future__ import annotations
@@ -33,36 +36,45 @@ class GraphStats:
     clustering: float
 
 
-def build_adjacency(edge_list: EdgeList) -> dict[NodeId, set[NodeId]]:
-    """Symmetric neighbor-set dict of a normalized edge list; raises ValueError
-    on a self-loop or a repeated edge, which the counts below would miscount."""
-    adjacency: dict[NodeId, set[NodeId]] = {}
+def build_adjacency(edge_list: EdgeList) -> dict[NodeId, list[NodeId]]:
+    """Symmetric neighbor-list dict of an edge list, each list in stream
+    order.  A self-loop or a repeated edge shows as a repeated neighbor,
+    which ``compute_stats`` refuses."""
+    adjacency: dict[NodeId, list[NodeId]] = {}
     get = adjacency.get
     for u, v in edge_list.edges:
         neighbors = get(u)
         if neighbors is None:
-            adjacency[u] = {v}
+            adjacency[u] = [v]
         else:
-            neighbors.add(v)
+            neighbors.append(v)
         neighbors = get(v)
         if neighbors is None:
-            adjacency[v] = {u}
+            adjacency[v] = [u]
         else:
-            neighbors.add(u)
-    degree_sum = sum(map(len, adjacency.values()))
-    if degree_sum != 2 * edge_list.edge_count:
-        raise ValueError(
-            f"edge list is not normalized: degree sum {degree_sum} is not twice its "
-            f"{edge_list.edge_count} edges (a self-loop or a repeated edge)"
-        )
+            neighbors.append(u)
     return adjacency
 
 
-def compute_stats(adjacency: dict[NodeId, set[NodeId]]) -> GraphStats:
-    """Exact counts of a neighbor-set dict, visiting each edge once from its smaller endpoint."""
+def compute_stats(adjacency: dict[NodeId, list[NodeId]]) -> GraphStats:
+    """Exact counts of a neighbor-list dict, visiting each edge once from its
+    endpoint of larger (degree, id); raises ValueError on a repeated neighbor
+    (a self-loop or a repeated edge), which the counts would miscount."""
     # Triangles through each edge; each triangle is seen from its three edges.
-    per_edge = [len(neighbors & adjacency[v])
-                for u, neighbors in adjacency.items() for v in neighbors if u < v]
+    per_edge: list[int] = []
+    count = per_edge.append
+    for u, neighbors in adjacency.items():
+        degree = len(neighbors)
+        members = set(neighbors)
+        if len(members) != degree:
+            raise ValueError(
+                f"edge list is not normalized: node {u} has a repeated neighbor "
+                f"(a self-loop or a repeated edge)"
+            )
+        for v in neighbors:
+            others = adjacency[v]
+            if len(others) < degree or len(others) == degree and v < u:
+                count(len(members.intersection(others)))
     through = sum(per_edge)
     triangles = through // 3
     # Length-two paths: sum over nodes of d(d-1)/2.

@@ -17,6 +17,7 @@ from tristream import (
     serialize_edge_list,
     shuffle_stream,
 )
+from tristream.edgelist import _CHUNK
 
 from conftest import TOY_TEXT
 from reference import reference_normalize_edges, reference_parse_edge_text
@@ -153,6 +154,21 @@ edge_text = st.lists(
 ).map("".join)
 
 
+def pair_lines(length):
+    """Edge lines of exactly ``length`` characters in all, each ending in a newline."""
+    return "1 2\n" * (length // 4 - 1) + "3 4" + " " * (length % 4) + "\n"
+
+
+# Texts over two chunks long.  The first puts "\r\n" at _CHUNK, so that a
+# chunk ending before its "\n" would add a blank line.
+CRLF_AT_CHUNK = pair_lines(_CHUNK - 4) + "5 6\r\n" + pair_lines(_CHUNK + 100)
+# A "\x85" at _CHUNK and a U+2028 after it, both mid-chunk for the parser.
+BREAKS_AT_CHUNK = (pair_lines(_CHUNK - 3) + "1 3\x852 4\u20285 7\n"
+                   + pair_lines(_CHUNK + 10) + "3 5")
+# A bad line in the last chunk, numbered after every boundary before it.
+BAD_LINE_IN_LAST_CHUNK = CRLF_AT_CHUNK + "7 x\n8 9\n"
+
+
 def parse_outcome(parse, source):
     """The EdgeList, or the line number and message of the ParseError."""
     try:
@@ -169,6 +185,9 @@ def text_dir(tmp_path_factory):
 @given(text=edge_text)
 @example(text="1 2\r3 4\r\n5 6\x853 1\u2028# 9 9\x0c% x\n\u0663 1_0\n")
 @example(text="1 2\n+3 -4\n")
+@example(text=CRLF_AT_CHUNK)
+@example(text=BREAKS_AT_CHUNK)
+@example(text=BAD_LINE_IN_LAST_CHUNK)
 @settings(max_examples=300, deadline=None)
 def test_parser_matches_two_pass_reference(text_dir, text):
     expected = parse_outcome(reference_parse_edge_text, text)

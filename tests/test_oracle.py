@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -8,12 +9,14 @@ from hypothesis import strategies as st
 
 from tristream import (
     EdgeList,
+    barabasi_albert,
     build_adjacency,
     complete_graph,
     compute_stats,
     erdos_renyi,
     make_edge,
     parse_edge_text,
+    serialize_edge_list,
 )
 
 import reference
@@ -21,7 +24,9 @@ import reference
 
 def test_toy_adjacency(toy_edges):
     graph = build_adjacency(toy_edges)
-    assert graph[6] == {1, 7, 8, 9, 10, 11}
+    # Each neighbour list is in stream order.
+    assert graph[6] == [1, 7, 8, 9, 10, 11]
+    assert graph[9] == [6, 8, 10]
     assert len(graph) == 11
     assert sum(len(n) for n in graph.values()) == 2 * 13
 
@@ -36,7 +41,7 @@ def test_empty_graph():
 
 def test_single_edge():
     graph = build_adjacency(EdgeList((make_edge(1, 2),)))
-    assert graph == {1: {2}, 2: {1}}
+    assert graph == {1: [2], 2: [1]}
     stats = compute_stats(graph)
     assert (stats.wedges, stats.triangles) == (0, 0)
 
@@ -63,7 +68,7 @@ def test_unnormalized_edge_list_rejected(edges):
     # Counted as given, the self-loop read as triangles=2 and clustering=1.2,
     # and the repeat as M=4 with wedges=3.
     with pytest.raises(ValueError, match="not normalized"):
-        build_adjacency(EdgeList(edges))
+        compute_stats(build_adjacency(EdgeList(edges)))
 
 
 def test_star_is_triangle_free():
@@ -138,6 +143,27 @@ def test_counts_match_brute_force(edges):
     assert stats.shared_pairs == reference.brute_shared_pair_count(edges)
     # The census walks the dict, whose insertion order follows the stream.
     assert compute_stats(build_adjacency(EdgeList(edges.edges[::-1]))) == stats
+    # Reversing the label order flips every (degree, id) tie-break.
+    top = max((node for edge in edges.edges for node in edge), default=0)
+    mirrored = EdgeList(tuple(make_edge(top - u, top - v) for u, v in edges.edges))
+    assert compute_stats(build_adjacency(mirrored)) == stats
+
+
+def test_oracle_holds_less_than_the_edge_list():
+    # A set per node held ~1.5 times the edge list's own holdings; lists and
+    # one set at a time hold under half of them.
+    text = serialize_edge_list(barabasi_albert(3000, 8, seed=1))
+    tracemalloc.start()
+    try:
+        edges = parse_edge_text(text)
+        held, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        stats = compute_stats(build_adjacency(edges))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert stats.edge_count == edges.edge_count
+    assert peak - held < held
 
 
 @given(graph_cases)

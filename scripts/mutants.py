@@ -6,9 +6,11 @@ once, the text that replaces it, and the tests expected to fail on the
 result.  The script copies the repository's files (tracked, plus untracked
 ones that are not ignored) to a temporary directory, checks that the
 unmutated copy passes every listed test, then applies one row at a time and
-runs that row's tests with ``-x``.  A row whose tests still pass survived;
-one whose tests run past five times the baseline's time (a mutant can make
-a loop endless) is killed.
+runs that row's tests with ``-x``.  A row whose tests still pass survived.
+Each of the 31 rows is killed by a failing test within seconds; a row whose
+tests run past five times the baseline's time (a mutant that makes a loop
+endless) is also counted as killed, with "timeout" in its line.  The last
+line gives the run's wall time.
 
 The exit status is 0 when every mutant is killed, and 1 when one survives,
 a row's text is not found exactly once, or the baseline fails.  Mutation
@@ -48,6 +50,7 @@ EDGELIST = "src/tristream/edgelist.py"
 ORACLE = "src/tristream/oracle.py"
 GENERATORS = "src/tristream/generators.py"
 ESTIMATORS = "src/tristream/estimators.py"
+ANALYSIS = "src/tristream/analysis.py"
 RANDOMNESS = "src/tristream/randomness.py"
 HARNESS = "src/tristream/harness.py"
 CLI = "src/tristream/cli.py"
@@ -58,17 +61,13 @@ GENERATOR_TESTS = (
 ESTIMATOR_TESTS = ("tests/test_estimators.py",)
 AUDIT_CASE = "tests/test_estimators.py::test_pool_audit_catches_corruption[{}]"
 
-# Each condition of WedgePool.audit, and the corruption case that it catches.
+# Each condition of WedgePool.audit, and a corruption case that it catches.
 AUDIT_CONDITIONS = (
     ("len(self.centers) != size or len(self.closed) != size", "slot_lists_out_of_step"),
     ("size != expected_size", "occupancy_drift"),
     ("not a < b", "non_canonical_pair"),
     ("len(self._chain) != size", "chain_links_out_of_step"),
-    ("len(self._by_pair) > size", "index_over_pool"),
-    ("not 0 <= index < size or self.closed[index] or self.pairs[index] != pair",
-     "closed_slot_on_chain"),
-    ("index in chained", "chain_cycle"),
-    ("not self.closed[index] and index not in chained", "unfiled_open_slot"),
+    ("chained.get(pair) != open_slots.get(pair)", "unfiled_open_slot"),
 )
 
 MUTANTS = (
@@ -263,6 +262,21 @@ MUTANTS = (
         ("tests/test_cli.py::test_bad_number_refused_before_reading_input",),
     ),
     Mutant(
+        "pool check accepts an empty pool",
+        ANALYSIS,
+        "if pool < 1:",
+        "if pool < 0:",
+        ("tests/test_estimators.py::test_invalid_pool_rejected",
+         "tests/test_harness.py::test_config_rejects_what_a_run_would"),
+    ),
+    Mutant(
+        "audit walks a chain one slot short",
+        ESTIMATORS,
+        "len(slots) <= size:",
+        "len(slots) < size:",
+        (AUDIT_CASE.format("chain_cycle"),),
+    ),
+    Mutant(
         "calibrate prints no note where the variance theory refuses",
         CLI,
         'note = f"variance prediction unavailable: {err}"',
@@ -302,6 +316,7 @@ def _run_tests(copy: Path, tests: tuple[str, ...], timeout: float) -> int | None
 
 
 def main() -> int:
+    run_start = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="tristream-mutants-") as tmp:
         copy = Path(tmp)
         _copy_repository(copy)
@@ -333,7 +348,8 @@ def main() -> int:
             verdict = "killed  " if killed else "SURVIVED"
             detail = "timeout" if status is None else f"exit {status}"
             print(f"{verdict} {time.perf_counter() - start:6.1f} s  {detail}  {mutant.name}")
-        print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} mutants killed")
+        print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} mutants killed "
+              f"in {time.perf_counter() - run_start:.1f} s")
         return 1 if survivors else 0
 
 

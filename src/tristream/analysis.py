@@ -27,10 +27,20 @@ class PesParams:
     pool: int
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.p <= 1.0:
-            raise ValueError(f"p must be in (0, 1], got {self.p}")
-        if self.pool < 1:
-            raise ValueError(f"pool must be >= 1, got {self.pool}")
+        _check_probability(self.p)
+        _check_pool(self.pool)
+
+
+def _check_probability(p: float) -> None:
+    if not 0.0 < p <= 1.0:
+        raise ValueError(f"sampling probability p must be in (0, 1], got {p}")
+    if p * p == 0.0:
+        raise ValueError(f"sampling probability p = {p} is too small: p * p is 0")
+
+
+def _check_pool(pool: int) -> None:
+    if pool < 1:
+        raise ValueError(f"pool must be >= 1, got {pool}")
 
 
 @dataclass(frozen=True)
@@ -208,8 +218,8 @@ def calibrate_pes(stats: GraphStats, target_rse: float) -> PesParams:
     Uses the pool = expected-subgraph-size convention: pool = round(p * M),
     capped at the wedge count, so the expected retention probability is
     about min(1, M / wedges), and p is chosen so the expected number of
-    identified triangles is target_rse ** -2.  A p that underflows to 0 is
-    refused by ``PesParams`` with ValueError.
+    identified triangles is target_rse ** -2.  A p that underflows to 0, or
+    whose square does, is refused by ``PesParams`` with ValueError.
     """
     required = _required_triangles(target_rse)
     if stats.triangles <= 0:
@@ -230,6 +240,5 @@ def nes_pes_ratio(edge_count: int, wedges: int, p_nes: float) -> float:
         raise ValueError(f"edge count must be >= 1, got {edge_count}")
     if wedges < 1:
         raise ValueError(f"wedge count must be >= 1, got {wedges}")
-    if not 0.0 < p_nes <= 1.0:
-        raise ValueError(f"p_nes must be in (0, 1], got {p_nes}")
+    _check_probability(p_nes)
     return edge_count / (p_nes * wedges)

@@ -26,7 +26,7 @@ from bisect import insort
 from dataclasses import dataclass
 from typing import Callable
 
-from .analysis import pes_rse_simple
+from .analysis import _check_pool, _check_probability, pes_rse_simple
 from .edgelist import Edge, EdgeList, NodeId
 from .randomness import RandomSource
 
@@ -46,9 +46,8 @@ class WedgePool:
 
     The open slots are indexed by outer pair as chains: ``_by_pair`` maps
     each pair that has an open slot to one of them, and ``_chain[i]`` gives
-    the next open slot with slot ``i``'s pair, or -1.  Every open slot is on
-    its pair's chain and no closed slot is on any, so the index never holds
-    more pairs than the pool holds slots.
+    the next open slot with slot ``i``'s pair, or -1.  A pair's chain holds
+    exactly its open slots, each once, as ``audit`` checks.
     """
 
     __slots__ = (
@@ -56,8 +55,7 @@ class WedgePool:
     )
 
     def __init__(self, capacity: int):
-        if capacity < 1:
-            raise ValueError(f"pool capacity must be >= 1, got {capacity}")
+        _check_pool(capacity)
         self.capacity = capacity
         self.pairs: list[tuple[NodeId, NodeId]] = []
         self.centers: list[NodeId] = []
@@ -95,27 +93,25 @@ class WedgePool:
         expected_size = min(self.capacity, self.candidate_count)
         if size != expected_size:
             raise RuntimeError(f"occupancy drift: {size} slots, expected {expected_size}")
+        if len(self._chain) != size:
+            raise RuntimeError(f"chain links out of step: {len(self._chain)} for {size} slots")
+        open_slots: dict[tuple[NodeId, NodeId], list[int]] = {}
         for index, (a, b) in enumerate(self.pairs):
             if not a < b:
                 raise RuntimeError(f"slot {index} holds non-canonical pair {(a, b)}")
-        if len(self._chain) != size:
-            raise RuntimeError(f"chain links out of step: {len(self._chain)} for {size} slots")
-        if len(self._by_pair) > size:
-            raise RuntimeError(f"index holds {len(self._by_pair)} pairs for {size} slots")
-        chained: set[int] = set()
+            if not self.closed[index]:
+                open_slots.setdefault((a, b), []).append(index)
+        chained: dict[tuple[NodeId, NodeId], list[int]] = {}
         for pair, index in self._by_pair.items():
-            while True:  # a chain holds at least its head
-                if not 0 <= index < size or self.closed[index] or self.pairs[index] != pair:
-                    raise RuntimeError(f"chain of {pair} reaches slot {index}, not open under it")
-                if index in chained:
-                    raise RuntimeError(f"slot {index} is chained twice")
-                chained.add(index)
-                index = self._chain[index]
-                if index == -1:
-                    break
-        for index, pair in enumerate(self.pairs):
-            if not self.closed[index] and index not in chained:
-                raise RuntimeError(f"open slot {index} is not filed under its pair {pair}")
+            slots = []  # a cycle stops at size + 1 slots, more than any chain holds
+            while index != -1 and len(slots) <= size:
+                slots.append(index)
+                index = self._chain[index] if 0 <= index < size else -1
+            chained[pair] = sorted(slots)
+        for pair in {**open_slots, **chained}:
+            if chained.get(pair) != open_slots.get(pair):
+                raise RuntimeError(f"pair {pair}: index chains {chained.get(pair)}, "
+                                   f"open slots are {open_slots.get(pair)}")
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -141,13 +137,6 @@ class EstimateResult:
     pool_size: int | None
     sample_size: int
     estimated_rse: float | None
-
-
-def _check_probability(p: float) -> None:
-    if not 0.0 < p <= 1.0:
-        raise ValueError(f"sampling probability p must be in (0, 1], got {p}")
-    if p * p == 0.0:
-        raise ValueError(f"sampling probability p = {p} is too small: p * p is 0")
 
 
 def nes_run(stream: EdgeList, p: float, rng: RandomSource) -> EstimateResult:
@@ -224,10 +213,9 @@ def pes_run(
     the pool's pair index rely on every stream edge arriving once and
     canonical, as an :class:`EdgeList` promises but nothing checks: a
     repeated edge would pair with its own earlier copy, and a reversed one
-    would close nothing.  The index chains exactly the open slots under
-    their outer pairs; a stream edge pops its pair's chain and closes every
-    slot on it, and a replaced open slot is unlinked from its old pair's
-    chain before it is filed under the new one.
+    would close nothing.  A stream edge pops its pair's chain (see
+    :class:`WedgePool`) and closes every slot on it; a replaced open slot is
+    unlinked from its old pair's chain before it is filed under the new one.
 
     The final estimate divides the closed count by ``p * q`` where ``q`` is
     the pool's final retention probability.  ``on_step`` is called after

@@ -18,6 +18,8 @@ from typing import IO, Any, Collection, Iterable, Mapping, Sequence
 
 from .analysis import (
     VarianceBreakdown,
+    _check_pool,
+    _check_probability,
     _required_triangles,
     calibrate_nes,
     calibrate_pes,
@@ -26,7 +28,7 @@ from .analysis import (
     pes_rse_simple,
 )
 from .edgelist import EdgeList, shuffle_stream
-from .estimators import EstimateResult, _check_probability, nes_run, pes_run
+from .estimators import EstimateResult, nes_run, pes_run
 from .oracle import GraphStats, build_adjacency, compute_stats
 from .randomness import SeededSource, mix_seed
 
@@ -77,10 +79,10 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         _check_method(self.method)
-        if self.method == "pes" and self.pool is None:
-            raise ValueError("pes needs a pool size")
-        if self.method == "pes" and self.pool < 1:
-            raise ValueError(f"pool must be >= 1, got {self.pool}")
+        if self.method == "pes":
+            if self.pool is None:
+                raise ValueError("pes needs a pool size")
+            _check_pool(self.pool)
         if self.method == "nes" and self.pool is not None:
             raise ValueError(f"nes takes no pool size, got pool = {self.pool}")
         _check_probability(self.p)

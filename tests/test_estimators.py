@@ -1,11 +1,12 @@
 from __future__ import annotations
 
 import hashlib
+from copy import deepcopy
 from dataclasses import astuple
 from statistics import fmean, stdev
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tristream import (
@@ -212,58 +213,70 @@ def test_pool_wedge_admitted_after_its_edge_stays_open():
     assert rng.exhausted
 
 
-def _add_center(pool):
-    pool.centers.append(pool.centers[0])
+# Each corruption breaks one bookkeeping invariant through slot ``slot``;
+# those marked as needing an open slot change nothing a closed one holds.
+def _add_center(pool, slot):
+    pool.centers.append(pool.centers[slot])
 
 
-def _add_open_slot(pool):
-    pool.pairs.append(pool.pairs[0])
-    pool.centers.append(pool.centers[0])
+def _add_open_slot(pool, slot):
+    pool.pairs.append(pool.pairs[slot])
+    pool.centers.append(pool.centers[slot])
     pool.closed.append(False)
 
 
-def _reverse_pair(pool):
-    pool.pairs[0] = pool.pairs[0][::-1]
+def _reverse_pair(pool, slot):
+    pool.pairs[slot] = pool.pairs[slot][::-1]
 
 
-def _unfile(pool):
-    pool._by_pair.clear()
+def _unfile(pool, slot):
+    del pool._by_pair[pool.pairs[slot]]
 
 
-def _close_chained_slot(pool):
-    pool.closed[0] = True
+def _close_chained_slot(pool, slot):
+    pool.closed[slot] = True
 
 
-def _chain_cycle(pool):
-    pool._chain[0] = 0
+def _chain_cycle(pool, slot):
+    pool._chain[slot] = slot
 
 
-def _drop_link(pool):
-    pool._chain.pop()
+def _drop_link(pool, slot):
+    del pool._chain[slot]
 
 
-def _file_extra_pair(pool):
-    pool._by_pair[(7, 8)] = 0
+def _file_extra_pair(pool, slot):
+    pool._by_pair[(-2, -1)] = slot
 
 
-@pytest.mark.parametrize("corrupt, message", [
-    pytest.param(_add_center, "out of step", id="slot_lists_out_of_step"),
-    pytest.param(_add_open_slot, "occupancy drift", id="occupancy_drift"),
-    pytest.param(_reverse_pair, "non-canonical", id="non_canonical_pair"),
-    pytest.param(_unfile, "not filed", id="unfiled_open_slot"),
-    pytest.param(_close_chained_slot, "not open under it", id="closed_slot_on_chain"),
-    pytest.param(_chain_cycle, "chained twice", id="chain_cycle"),
-    pytest.param(_drop_link, "chain links out of step", id="chain_links_out_of_step"),
-    pytest.param(_file_extra_pair, "index holds 2 pairs for 1 slots", id="index_over_pool"),
-])
-def test_pool_audit_catches_corruption(corrupt, message):
+CORRUPTIONS = {  # id: (corruption, needs an open slot, audit's message at slot 0 of the path)
+    "slot_lists_out_of_step": (_add_center, False, "slot lists out of step"),
+    "occupancy_drift": (_add_open_slot, False, "occupancy drift"),
+    "non_canonical_pair": (_reverse_pair, False, "non-canonical"),
+    "unfiled_open_slot": (_unfile, True, r"\(1, 3\): index chains None, open slots are \[0\]"),
+    "closed_slot_on_chain": (
+        _close_chained_slot, True, r"\(1, 3\): index chains \[0\], open slots are None"
+    ),
+    "chain_cycle": (
+        _chain_cycle, True, r"\(1, 3\): index chains \[0, 0\], open slots are \[0\]"
+    ),
+    "chain_links_out_of_step": (_drop_link, False, "chain links out of step"),
+    "index_over_pool": (
+        _file_extra_pair, False, r"\(-2, -1\): index chains \[0\], open slots are None"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", CORRUPTIONS)
+def test_pool_audit_catches_corruption(case):
+    corrupt, _, message = CORRUPTIONS[case]
     caught = []
 
     def corrupt_and_audit(step, edge, incidence, pool):
         if step == 2:
             caught.append(pool.wedge_keys())
             pool.audit()
-            corrupt(pool)
+            corrupt(pool, 0)
             with pytest.raises(RuntimeError, match=message):
                 pool.audit()
 
@@ -345,7 +358,7 @@ def test_invalid_probability_rejected(bad_p, toy_edges):
 
 
 def test_invalid_pool_rejected(toy_edges):
-    with pytest.raises(ValueError, match="capacity"):
+    with pytest.raises(ValueError, match="pool must be >= 1"):
         pes_run(toy_edges, 0.5, 0, SeededSource(0))
 
 
@@ -512,6 +525,41 @@ def test_pool_bookkeeping_audit_over_random_runs():
         graph = erdos_renyi(25, 0.4, seed=seed)
         stream = shuffle_stream(graph, seed)
         pes_run(stream, 0.6, 15, SeededSource(seed), on_step=audit_pool)
+
+
+@given(
+    st.sampled_from(sorted(CORRUPTIONS)),
+    st.integers(min_value=4, max_value=16),
+    st.floats(min_value=0.2, max_value=0.8),
+    st.sampled_from([0.3, 0.5, 1.0]),
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=0, max_value=2**32),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.integers(min_value=0, max_value=10**6),
+)
+@settings(max_examples=200, deadline=None)
+def test_pool_audit_catches_corruption_anywhere(case, nodes, density, p, capacity, seed, at,
+                                                pick):
+    # The audit passes after every step of an ER run; a copy of the pool,
+    # corrupted at the first step from ``at`` on that has a slot to corrupt,
+    # fails it.
+    corrupt, needs_open, _ = CORRUPTIONS[case]
+    stream = shuffle_stream(erdos_renyi(nodes, density, seed), seed)
+    first_step = 1 + int(at * (stream.edge_count - 1))
+    corrupted = []
+
+    def audit_and_corrupt(step, edge, incidence, pool):
+        pool.audit()
+        slots = [i for i in range(len(pool)) if not (needs_open and pool.closed[i])]
+        if step >= first_step and slots and not corrupted:
+            copy = deepcopy(pool)
+            corrupt(copy, slots[pick % len(slots)])
+            with pytest.raises(RuntimeError):
+                copy.audit()
+            corrupted.append(step)
+
+    pes_run(stream, p, capacity, SeededSource(seed), on_step=audit_and_corrupt)
+    assume(corrupted)
 
 
 def test_reservoir_retention_uniformity_light():

@@ -16,6 +16,7 @@ from tristream import (
     ExperimentConfig,
     GraphStats,
     InfeasibleError,
+    PesParams,
     SeededSource,
     erdos_renyi,
     make_edge,
@@ -215,12 +216,17 @@ def test_calibrated_config_refuses_an_unknown_method_first(stats):
 
 
 def test_config_rejects_what_a_run_would():
-    # The estimators' own p rule, so no run of a valid config can fail.
+    # The estimators' own p rule, so no run of a valid config can fail;
+    # PesParams, which the variance predictions take, states the same rule.
     for p in (2.0, 0.0, math.nan, 5e-324):
         with pytest.raises(ValueError, match="sampling probability"):
             config(p=p)
+        with pytest.raises(ValueError, match="sampling probability"):
+            PesParams(p=p, pool=5)
     with pytest.raises(ValueError, match="pool must be >= 1"):
         config(method="pes", pool=0)
+    with pytest.raises(ValueError, match="pool must be >= 1"):
+        PesParams(p=0.5, pool=0)
     # A naive run has no pool, so a summary must not report one.
     with pytest.raises(ValueError, match="nes takes no pool size"):
         config(method="nes", pool=5)

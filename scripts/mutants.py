@@ -7,7 +7,7 @@ result.  The script copies the repository's files (tracked, plus untracked
 ones that are not ignored) to a temporary directory, checks that the
 unmutated copy passes every listed test, then applies one row at a time and
 runs that row's tests with ``-x``.  A row whose tests still pass survived.
-Each of the 31 rows is killed by a failing test within seconds; a row whose
+Each of the 33 rows is killed by a failing test within seconds; a row whose
 tests run past five times the baseline's time (a mutant that makes a loop
 endless) is also counted as killed, with "timeout" in its line.  The last
 line gives the run's wall time.
@@ -58,7 +58,7 @@ GENERATOR_TESTS = (
     "tests/test_generators.py::test_generators_emit_normalized_edge_lists",
     "tests/test_generators.py::test_generator_edge_lists_match_pinned_digest",
 )
-ESTIMATOR_TESTS = ("tests/test_estimators.py",)
+CHAIN_TEST = "tests/test_estimators.py::test_pool_chains_many_open_slots_under_one_pair"
 AUDIT_CASE = "tests/test_estimators.py::test_pool_audit_catches_corruption[{}]"
 
 # Each condition of WedgePool.audit, and a corruption case that it catches.
@@ -152,16 +152,30 @@ MUTANTS = (
     Mutant(
         "reservoir draw compares with <=",
         ESTIMATORS,
-        "if uniform() < capacity / count:",
-        "if uniform() <= capacity / count:",
+        "if not uniform() < capacity / count:",
+        "if not uniform() <= capacity / count:",
         ("tests/test_exact_expectation.py",),
     ),
     Mutant(
         "reservoir keeps with capacity / (t + 1)",
         ESTIMATORS,
-        "if uniform() < capacity / count:",
-        "if uniform() < capacity / (count + 1):",
+        "if not uniform() < capacity / count:",
+        "if not uniform() < capacity / (count + 1):",
         ("tests/test_exact_expectation.py",),
+    ),
+    Mutant(
+        "the capacity-th candidate draws",
+        ESTIMATORS,
+        "if count > capacity:",
+        "if count >= capacity:",
+        ("tests/test_estimators.py::test_pool_at_the_wedge_count_boundary",),
+    ),
+    Mutant(
+        "filing keeps a replaced slot's old center",
+        ESTIMATORS,
+        "                centers[index] = center\n",
+        "",
+        ("tests/test_estimators.py::test_pool_stale_index_entries_close_nothing",),
     ),
     Mutant(
         "randrange accepts r == n",
@@ -182,14 +196,14 @@ MUTANTS = (
         ESTIMATORS,
         "chain[head] = chain[index]",
         "chain[head] = -1",
-        ESTIMATOR_TESTS,
+        (CHAIN_TEST,),
     ),
     Mutant(
         "unlink drops a chain whose head is replaced",
         ESTIMATORS,
         "elif chain[index] != -1:",
         "elif False:",
-        ESTIMATOR_TESTS,
+        (CHAIN_TEST,),
     ),
     Mutant(
         "close stops after the chain head",
@@ -198,14 +212,14 @@ MUTANTS = (
         "            index = chain[index]\n",
         "            closed[index] = True\n"
         "            index = -1\n",
-        ESTIMATOR_TESTS,
+        (CHAIN_TEST,),
     ),
     Mutant(
         "a replaced closed slot stays closed",
         ESTIMATORS,
         "                        closed[index] = False\n",
         "                        pass\n",
-        ESTIMATOR_TESTS,
+        ("tests/test_estimators.py::test_eviction_of_closed_wedge_decrements_count",),
     ),
     Mutant(
         "no candidate_count write-back before on_step",
@@ -213,7 +227,7 @@ MUTANTS = (
         "            pool.candidate_count = count\n"
         "            on_step(",
         "            on_step(",
-        ESTIMATOR_TESTS,
+        ("tests/test_estimators.py::test_scripted_replay_pool_trace",),
     ),
     Mutant(
         "no candidate_count write-back at the end of the run",
@@ -221,18 +235,19 @@ MUTANTS = (
         "    pool.candidate_count = count\n"
         "    closed_count = pool.closed_count\n",
         "    closed_count = pool.closed_count\n",
-        ESTIMATOR_TESTS,
+        ("tests/test_exact_expectation.py::"
+         "test_pes_exactly_unbiased_in_every_order_of_a_pendant_triangle",),
     ),
     Mutant(
         "compare and sweep check their settings after the oracle",
         HARNESS,
         "    _check_settings(runs, jobs, base_seed, shuffle)\n"
         "    if not plan:\n"
-        "        return []\n"
+        "        return iter(())\n"
         "    _require_runs(runs)\n"
         "    truth = compute_stats(build_adjacency(edges))\n",
         "    if not plan:\n"
-        "        return []\n"
+        "        return iter(())\n"
         "    _require_runs(runs)\n"
         "    truth = compute_stats(build_adjacency(edges))\n"
         "    _check_settings(runs, jobs, base_seed, shuffle)\n",

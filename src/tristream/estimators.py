@@ -197,15 +197,15 @@ def pes_run(
     subgraph of the earlier edges, whether or not the current edge is
     admitted, and the edge never pairs with itself.
 
-    The reservoir appends every candidate while it has room.  Once full,
-    the t-th candidate replaces a uniformly random slot with probability
-    ``capacity / t``; by the standard reservoir induction every candidate
-    seen so far then sits in the pool with exactly that probability.
-    Evicting a closed wedge un-counts it.  The draws: one ``uniform()`` per
-    stream edge, then, per candidate offered to a full pool, one
-    ``uniform()`` compared as ``uniform() < capacity / t`` and, when it
-    replaces a slot, one ``randrange(capacity)``.  Each edge offers center
-    ``x``'s neighbors first, then ``y``'s.
+    The reservoir is Vitter's Algorithm R, one path per candidate: the t-th
+    candidate takes a new slot while ``t <= capacity`` and otherwise
+    replaces a uniformly random slot with probability ``capacity / t``; one
+    block files either.  Every candidate seen so far then sits in the pool
+    with probability ``min(1, capacity / t)``.  Evicting a closed wedge
+    un-counts it.  The draws: one ``uniform()`` per stream edge, then, per
+    candidate offered to a full pool, one ``uniform() < capacity / t`` and,
+    when it replaces a slot, one ``randrange(capacity)``.  Each edge offers
+    center ``x``'s neighbors first, then ``y``'s.
 
     The subgraph is ``incidence``, which maps each node to its sampled
     neighbors in ascending order, kept sorted on insert so that candidates
@@ -224,7 +224,7 @@ def pes_run(
     _check_probability(p)
     incidence: dict[NodeId, list[NodeId]] = {}
     pool = WedgePool(pool_size)
-    sorted_neighbors = incidence.get  # no list for an unseen node
+    sorted_neighbors = incidence.get
     uniform, randrange = rng.uniform, rng.randrange
     capacity, pairs, centers, closed, by_pair, chain = (
         pool.capacity, pool.pairs, pool.centers, pool.closed, pool._by_pair, pool._chain
@@ -238,25 +238,12 @@ def pes_run(
             closed[index] = True
             index = chain[index]
         for center, outer in (edge, (y, x)):  # center x first, then center y
-            others = sorted_neighbors(center)
-            if not others:
-                continue
-            if count < capacity:
-                # Fill phase: append while the pool has room.
-                fill = others[: capacity - count]
-                for other in fill:
-                    pair = (outer, other) if outer <= other else (other, outer)
-                    chain.append(by_pair.get(pair, -1))
-                    by_pair[pair] = len(pairs)
-                    pairs.append(pair)
-                    centers.append(center)
-                    closed.append(False)
-                count += len(fill)
-                others = others[len(fill):]
-            # Full phase: the t-th candidate replaces a random slot w.p. capacity / t.
-            for other in others:
+            for other in sorted_neighbors(center, ()):
                 count += 1
-                if uniform() < capacity / count:
+                if count > capacity:
+                    # The t-th candidate replaces a random slot w.p. capacity / t.
+                    if not uniform() < capacity / count:
+                        continue
                     index = randrange(capacity)
                     if closed[index]:
                         # Off every chain: its pair was popped when it closed.
@@ -272,11 +259,18 @@ def pes_run(
                             chain[head] = chain[index]
                         elif chain[index] != -1:
                             by_pair[old] = chain[index]
-                    pair = (outer, other) if outer <= other else (other, outer)
-                    chain[index] = by_pair.get(pair, -1)
-                    by_pair[pair] = index
-                    pairs[index] = pair
-                    centers[index] = center
+                else:
+                    # The pool has room: the candidate takes a new slot, filed below.
+                    index = count - 1
+                    chain.append(-1)
+                    pairs.append(edge)
+                    centers.append(center)
+                    closed.append(False)
+                pair = (outer, other) if outer <= other else (other, outer)
+                chain[index] = by_pair.get(pair, -1)
+                by_pair[pair] = index
+                pairs[index] = pair
+                centers[index] = center
         if admitted:
             insort(incidence.setdefault(x, []), y)
             insort(incidence.setdefault(y, []), x)

@@ -14,7 +14,7 @@ import os
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from statistics import fmean
-from typing import IO, Any, Collection, Iterable, Mapping, Sequence
+from typing import IO, Any, Collection, Iterable, Iterator, Mapping, Sequence
 
 from .analysis import (
     VarianceBreakdown,
@@ -238,19 +238,21 @@ def calibrated_config(method: str, truth: GraphStats, target_rse: float,
 
 
 def _calibrated_summaries(edges: EdgeList, plan: Sequence[tuple[str, float]], runs: int,
-                          base_seed: int, jobs: int, shuffle: str) -> list[RunSummary]:
+                          base_seed: int, jobs: int, shuffle: str) -> Iterator[RunSummary]:
     """One calibrated experiment per ``(method, target_rse)`` of ``plan``,
     in order, on one exact oracle.  Bad settings are refused first; an empty
     plan then yields none without the oracle, too few runs are refused
-    before it, and an unusable calibration before any run."""
+    before it, and an unusable calibration before any run.  The experiments
+    run as the iterator is read, so a caller that reads it once holds one
+    summary at a time."""
     _check_settings(runs, jobs, base_seed, shuffle)
     if not plan:
-        return []
+        return iter(())
     _require_runs(runs)
     truth = compute_stats(build_adjacency(edges))
     configs = [calibrated_config(method, truth, target, runs=runs, base_seed=base_seed,
                                  shuffle=shuffle, jobs=jobs) for method, target in plan]
-    return [run_experiment(edges, config, stats=truth) for config in configs]
+    return (run_experiment(edges, config, stats=truth) for config in configs)
 
 
 def ratio_experiment(
@@ -307,13 +309,13 @@ def rse_sweep(
     summaries = _calibrated_summaries(
         edges, [(method, target) for target in targets], runs, base_seed, jobs, shuffle
     )
-    return tuple(
-        SweepRow(target_rse=target, observed_rse=summary.observed_rse,
-                 predicted_rse=summary.predicted_rse,
-                 mean_triangles_observed=summary.mean_triangles_observed,
-                 mean_sample_size=summary.mean_sample_size)
-        for target, summary in zip(targets, summaries)
-    )
+    # map drops each summary once its row is made, before the next one runs.
+    return tuple(map(_sweep_row, targets, summaries))
+
+
+def _sweep_row(target_rse: float, summary: RunSummary) -> SweepRow:
+    return SweepRow(target_rse, summary.observed_rse, summary.predicted_rse,
+                    summary.mean_triangles_observed, summary.mean_sample_size)
 
 
 # ---------------------------------------------------------------------------

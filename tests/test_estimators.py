@@ -520,6 +520,21 @@ def test_scripted_source_consumes_one_decision_per_edge_and_late_candidate(
     assert replay.exhausted
 
 
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_pool_at_the_wedge_count_boundary(offset):
+    # At p = 1 every wedge is one candidate, so with capacity = wedges - 1,
+    # wedges or wedges + 1 the last candidate is the first to draw, the one
+    # that fills the pool, or one that leaves a slot free.
+    stream = shuffle_stream(erdos_renyi(12, 0.4, seed=5), 5)
+    wedges = reference.brute_wedge_count(stream)
+    capacity = wedges + offset
+    counted = _CountingSource(SeededSource(7))
+    result = pes_run(stream, 1.0, capacity, counted, on_step=audit_pool)
+    assert result == reference.reference_pes_run(stream, 1.0, capacity, SeededSource(7))
+    assert result.candidate_wedges == wedges
+    assert counted.uniforms == stream.edge_count + max(0, wedges - capacity)
+
+
 def test_pool_bookkeeping_audit_over_random_runs():
     for seed in range(8):
         graph = erdos_renyi(25, 0.4, seed=seed)

@@ -5,6 +5,7 @@ import csv
 import io
 import math
 import os
+import weakref
 from statistics import fmean
 
 import pytest
@@ -421,6 +422,23 @@ def test_sweep_refuses_an_unusable_target_before_any_run(small_graph, monkeypatc
     monkeypatch.setattr(harness, "run_experiment", refuse)
     with pytest.raises(InfeasibleError, match=r"target RSE 1e\+150"):
         rse_sweep(small_graph, [0.3, 1e150], "pes", 50, 0)
+
+
+def test_sweep_holds_one_summary_at_a_time(small_graph, monkeypatch):
+    # When the k-th experiment starts, the (k-1)-th summary is already freed.
+    made, alive_at_start = [], []
+    experiment = harness.run_experiment
+
+    def tracked(*args, **kwargs):
+        alive_at_start.append([ref() is not None for ref in made])
+        summary = experiment(*args, **kwargs)
+        made.append(weakref.ref(summary))
+        return summary
+
+    monkeypatch.setattr(harness, "run_experiment", tracked)
+    rows = rse_sweep(small_graph, [0.2, 0.3, 0.4], "nes", 5, 3)
+    assert len(rows) == len(made) == 3
+    assert alive_at_start == [[], [False], [False, False]]
 
 
 def test_sweep_single_target_minimum_runs(small_graph):

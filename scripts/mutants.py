@@ -7,7 +7,7 @@ result.  The script copies the repository's files (tracked, plus untracked
 ones that are not ignored) to a temporary directory, checks that the
 unmutated copy passes every listed test, then applies one row at a time and
 runs that row's tests with ``-x``.  A row whose tests still pass survived.
-Each of the 33 rows is killed by a failing test within seconds; a row whose
+Each of the 43 rows is killed by a failing test within seconds; a row whose
 tests run past five times the baseline's time (a mutant that makes a loop
 endless) is also counted as killed, with "timeout" in its line.  The last
 line gives the run's wall time.
@@ -84,6 +84,13 @@ MUTANTS = (
         "end = size if end < 0 else end + 1",
         "end = size if end < 0 else end",
         ("tests/test_edgelist.py::test_parser_matches_two_pass_reference",),
+    ),
+    Mutant(
+        "parse splits the whole text as one chunk",
+        EDGELIST,
+        'end = text.find("\\n", start + _CHUNK)',
+        "end = -1",
+        ("tests/test_edgelist.py::test_parse_holds_one_chunk_of_lines_at_a_time",),
     ),
     Mutant(
         "parse keeps a repeat's last place",
@@ -290,6 +297,69 @@ MUTANTS = (
         "len(slots) <= size:",
         "len(slots) < size:",
         (AUDIT_CASE.format("chain_cycle"),),
+    ),
+    Mutant(
+        "RSE refuses a one-triangle graph",
+        ANALYSIS,
+        "    if stats.triangles <= 0:\n        raise ValueError(\"RSE undefined",
+        "    if stats.triangles <= 1:\n        raise ValueError(\"RSE undefined",
+        ("tests/test_analysis.py::test_rse_full_requires_triangles",),
+    ),
+    Mutant(
+        "pool theory accepts one expected candidate",
+        ANALYSIS,
+        "if candidates <= 1.0:",
+        "if candidates < 1.0:",
+        ("tests/test_analysis.py::test_variance_domain_errors",),
+    ),
+    Mutant(
+        "calibrated pool may round to empty",
+        ANALYSIS,
+        "pool = max(1, round(p * stats.edge_count))",
+        "pool = max(0, round(p * stats.edge_count))",
+        ("tests/test_analysis.py::test_calibrate_pes_pool_is_at_least_one",),
+    ),
+    Mutant(
+        "pool rule returns a zero wedge cap",
+        ANALYSIS,
+        "return max(1, wedge_cap)",
+        "return max(0, wedge_cap)",
+        ("tests/test_analysis.py::test_calibrate_pes_pool_cap_and_domain",),
+    ),
+    Mutant(
+        "ratio refuses a single edge",
+        ANALYSIS,
+        "if edge_count < 1:",
+        "if edge_count <= 1:",
+        ("tests/test_analysis.py::test_nes_pes_ratio_examples",),
+    ),
+    Mutant(
+        "ratio refuses a single wedge",
+        ANALYSIS,
+        "if wedges < 1:",
+        "if wedges <= 1:",
+        ("tests/test_analysis.py::test_nes_pes_ratio_examples",),
+    ),
+    Mutant(
+        "audit accepts a pair of one node",
+        ESTIMATORS,
+        "if not a < b:",
+        "if not a <= b:",
+        (AUDIT_CASE.format("pair_of_one_node"),),
+    ),
+    Mutant(
+        "audit follows a chain link past the pool",
+        ESTIMATORS,
+        "0 <= index < size",
+        "0 <= index <= size",
+        (AUDIT_CASE.format("chain_link_past_pool"),),
+    ),
+    Mutant(
+        "audit follows a chain link below the pool",
+        ESTIMATORS,
+        "0 <= index < size",
+        "index < size",
+        (AUDIT_CASE.format("chain_link_below_pool"),),
     ),
     Mutant(
         "calibrate prints no note where the variance theory refuses",

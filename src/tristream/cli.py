@@ -215,8 +215,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_calibrate(args: argparse.Namespace) -> int:
     with _staged_csv(args.csv, args.input) as csv_file:
-        edges = load_edge_list(args.input)
-        stats = compute_stats(build_adjacency(edges))
+        stats = compute_stats(build_adjacency(load_edge_list(args.input)))
         # Refused as compare refuses it, in the same order: NES, then PES.
         nes = calibrated_config("nes", stats, args.target_rse)
         pes = calibrated_config("pes", stats, args.target_rse)

@@ -69,6 +69,9 @@ def test_variance_unit_term_vanishes_under_certain_sampling():
 def test_variance_domain_errors(toy_stats):
     with pytest.raises(ValueError, match="sub-unit expected candidates"):
         pes_variance(toy_stats, PesParams(p=0.01, pool=1))
+    # p * wedges is exactly 1 here, where q'^2 would be 0 / 0.
+    with pytest.raises(ValueError, match="sub-unit expected candidates"):
+        pes_variance(toy_stats, PesParams(p=1 / 32, pool=1))
     with pytest.raises(ValueError, match="saturated"):
         pes_variance(toy_stats, PesParams(p=0.5, pool=20))
 
@@ -133,6 +136,11 @@ def test_rse_full_requires_triangles(toy_stats):
     )
     with pytest.raises(ValueError, match="triangle"):
         pes_rse_full(empty, PesParams(p=0.5, pool=2))
+    # One triangle suffices: q = 2 / 4, so inner = (1 - pq) / pq = 3.
+    one = GraphStats(
+        node_count=5, edge_count=6, triangles=1, wedges=8, shared_pairs=0, clustering=0.375
+    )
+    assert pes_rse_full(one, PesParams(p=0.5, pool=2)) == pytest.approx(math.sqrt(3))
 
 
 def test_rse_simple_values():
@@ -230,6 +238,7 @@ def test_calibrate_pes_pool_examples():
 
 def test_calibrate_pes_pool_cap_and_domain():
     assert calibrate_pes_pool(0.2, 0.05, wedge_cap=300) == 300
+    assert calibrate_pes_pool(0.2, 0.05, wedge_cap=0) == 1
     with pytest.raises(ValueError, match="unbounded"):
         calibrate_pes_pool(0.2, 0.0)
     with pytest.raises(ValueError):
@@ -268,6 +277,13 @@ def test_calibrate_pes_clamps_on_tiny_graph(toy_stats):
     assert cal.p == 1.0
 
 
+def test_calibrate_pes_pool_is_at_least_one(toy_stats):
+    # p * M = 0.107 rounds to an empty pool, which the floor lifts to 1.
+    cal = calibrate_pes(toy_stats, 10.0)
+    assert round(cal.p * toy_stats.edge_count) == 0
+    assert cal.pool == 1
+
+
 @pytest.mark.parametrize(
     "target", [math.nan, math.inf, -math.inf, 0.0, -0.1, 5e-324, 1e-300, 1e155, 1e308]
 )
@@ -290,6 +306,7 @@ def test_calibrate_pes_pool_overflow_needs_cap():
 
 def test_nes_pes_ratio_examples(toy_stats):
     assert nes_pes_ratio(32, 32, 1.0) == 1.0
+    assert nes_pes_ratio(1, 1, 1.0) == 1.0
     assert nes_pes_ratio(13, 32, 0.5) == pytest.approx(0.8125)
     base = nes_pes_ratio(13, 32, 0.5)
     assert nes_pes_ratio(13, 64, 0.5) == pytest.approx(base / 2)

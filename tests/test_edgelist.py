@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import gzip
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -167,6 +168,23 @@ BREAKS_AT_CHUNK = (pair_lines(_CHUNK - 3) + "1 3\x852 4\u20285 7\n"
                    + pair_lines(_CHUNK + 10) + "3 5")
 # A bad line in the last chunk, numbered after every boundary before it.
 BAD_LINE_IN_LAST_CHUNK = CRLF_AT_CHUNK + "7 x\n8 9\n"
+
+
+def test_parse_holds_one_chunk_of_lines_at_a_time():
+    # One repeated edge, so the dedup dict and the result stay tiny and the
+    # peak is the chunk's split lines: ~16 bytes a character (a short str
+    # and its list slot), ~12 MB if the whole text were split at once.
+    text = "1 2\n" * 200_000
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        edge_list = parse_edge_text(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert edge_list.edges == ((1, 2),)
+    assert peak - held < 32 * _CHUNK
 
 
 def parse_outcome(parse, source):

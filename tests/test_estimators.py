@@ -229,6 +229,10 @@ def _reverse_pair(pool, slot):
     pool.pairs[slot] = pool.pairs[slot][::-1]
 
 
+def _collapse_pair(pool, slot):
+    pool.pairs[slot] = (pool.pairs[slot][0],) * 2
+
+
 def _unfile(pool, slot):
     del pool._by_pair[pool.pairs[slot]]
 
@@ -239,6 +243,14 @@ def _close_chained_slot(pool, slot):
 
 def _chain_cycle(pool, slot):
     pool._chain[slot] = slot
+
+
+def _link_past_pool(pool, slot):
+    pool._chain[slot] = len(pool.pairs)
+
+
+def _link_below_pool(pool, slot):
+    pool._chain[slot] = -2
 
 
 def _drop_link(pool, slot):
@@ -253,12 +265,19 @@ CORRUPTIONS = {  # id: (corruption, needs an open slot, audit's message at slot 
     "slot_lists_out_of_step": (_add_center, False, "slot lists out of step"),
     "occupancy_drift": (_add_open_slot, False, "occupancy drift"),
     "non_canonical_pair": (_reverse_pair, False, "non-canonical"),
+    "pair_of_one_node": (_collapse_pair, False, "non-canonical"),
     "unfiled_open_slot": (_unfile, True, r"\(1, 3\): index chains None, open slots are \[0\]"),
     "closed_slot_on_chain": (
         _close_chained_slot, True, r"\(1, 3\): index chains \[0\], open slots are None"
     ),
     "chain_cycle": (
         _chain_cycle, True, r"\(1, 3\): index chains \[0, 0\], open slots are \[0\]"
+    ),
+    "chain_link_past_pool": (
+        _link_past_pool, True, r"\(1, 3\): index chains \[0, 1\], open slots are \[0\]"
+    ),
+    "chain_link_below_pool": (
+        _link_below_pool, True, r"\(1, 3\): index chains \[-2, 0\], open slots are \[0\]"
     ),
     "chain_links_out_of_step": (_drop_link, False, "chain links out of step"),
     "index_over_pool": (

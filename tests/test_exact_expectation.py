@@ -1,24 +1,37 @@
-"""Exact expectations of the estimators over every path of their draws.
+"""Exact moments of the estimators over every path of their draws.
 
 On a tiny graph with a fixed stream order, every path that the draws of
 ``pes_run`` or ``nes_run`` can take is listed with its exact probability, so
-``E[estimate]`` is a ``Fraction`` and the paper's unbiasedness theorem is
-checked as an equality, where the statistical checks (C04, C08) can only
-bound a bias from above by their noise.
+``E[estimate]`` and ``E[estimate ** 2]`` are ``Fraction``s.  The paper's
+unbiasedness theorem and NES's variance are then checked as equalities,
+where the statistical checks (C04, C05, C08) can only bound them by their
+noise.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import permutations
 
 import pytest
 
-from tristream import EdgeList, cycle_graph, make_edge, nes_run, pes_run
+from tristream import (
+    EdgeList,
+    build_adjacency,
+    compute_stats,
+    cycle_graph,
+    make_edge,
+    nes_run,
+    pes_run,
+)
 
-# A triangle with a pendant edge, and the diamond (K4 less one edge).
+# A triangle with a pendant edge, the diamond (K4 less one edge), the bowtie
+# (two triangles on one shared node) and K4.
 PENDANT = tuple(make_edge(u, v) for u, v in ((1, 2), (1, 3), (2, 3), (3, 4)))
 DIAMOND = tuple(make_edge(u, v) for u, v in ((1, 2), (1, 3), (2, 3), (2, 4), (3, 4)))
+BOWTIE = tuple(make_edge(u, v) for u, v in ((1, 2), (1, 3), (2, 3), (3, 4), (3, 5), (4, 5)))
+K4 = tuple(make_edge(u, v) for u in range(1, 5) for v in range(u + 1, 5))
 
 
 class _Draw:
@@ -36,15 +49,21 @@ class _Draw:
         source, self._source = self._source, None
         if source is None:
             raise TypeError("a draw is compared once")
-        # p is dyadic here, so exact; the pool's capacity / t is recovered
-        # as the small-denominator rational the float rounds.
-        weight = Fraction(threshold).limit_denominator(1 << 16)
-        return source.branch((weight, 1 - weight)) == 0
+        return source.branch(_draw_weights(threshold)) == 0
 
     def _refuse(self, *args):
         raise TypeError("a draw supports only draw < threshold")
 
     __le__ = __gt__ = __ge__ = __eq__ = __ne__ = __hash__ = __bool__ = __float__ = _refuse
+
+
+@cache
+def _draw_weights(threshold: float) -> tuple[Fraction, Fraction]:
+    """A draw's (True, False) weights.  p is dyadic here, so exact; the
+    pool's capacity / t is recovered as the small-denominator rational the
+    float rounds."""
+    weight = Fraction(threshold).limit_denominator(1 << 16)
+    return weight, 1 - weight
 
 
 def _next_branch(weights: tuple[Fraction, ...], after: int) -> int | None:
@@ -99,6 +118,30 @@ def expectation(run) -> tuple[Fraction, int]:
                 break
         else:
             return total, paths
+
+
+def second_moment(run) -> Fraction:
+    """``E[run(source) ** 2]``, by the same enumeration."""
+    return expectation(lambda source: run(source) ** 2)[0]
+
+
+def mean_over_orders(edges, orbits: dict, statistic) -> Fraction:
+    """The mean of ``statistic(stream)`` over every stream order of ``edges``.
+
+    ``orbits`` maps one edge of each orbit of the graph's automorphisms to
+    the orbit's size.  Relabelling the nodes by an automorphism carries the
+    orders that start with one edge of an orbit onto those that start with
+    another, so for a statistic blind to node labels only the orders that
+    start with the named edges are run.  With every edge an orbit of size 1,
+    every order is run.
+    """
+    assert sum(orbits.values()) == len(edges)
+    total = Fraction(0)
+    for first, size in orbits.items():
+        rest = [edge for edge in edges if edge != first]
+        values = [statistic(EdgeList((first, *order))) for order in permutations(rest)]
+        total += size * sum(values, Fraction(0)) / len(values)
+    return total / len(edges)
 
 
 def pes_estimate(stream: EdgeList, p: float, capacity: int):
@@ -167,6 +210,36 @@ def test_exactly_unbiased_on_the_diamond(order, p, capacity):
     stream = EdgeList(order)
     assert expectation(pes_estimate(stream, p, capacity))[0] == 2
     assert expectation(nes_estimate(stream, p))[0] == 2
+
+
+@pytest.mark.parametrize("edges, orbits, variance", [
+    pytest.param(DIAMOND, {(2, 3): 1, (1, 2): 4}, Fraction(106, 15), id="diamond"),
+    pytest.param(BOWTIE, {(1, 2): 2, (1, 3): 4}, Fraction(6), id="bowtie"),
+    pytest.param(K4, {(1, 2): 6}, Fraction(92, 5), id="k4"),
+])
+def test_nes_variance_matches_its_closed_form_over_all_orders(edges, orbits, variance):
+    # Var = T(1 - p^2)/p^2 + (16/15) S (1 - p)/p, averaged over the orders:
+    # two triangles that share an edge are counted from the same kept edge
+    # in 8 of 15 orders of their five edges.  The estimate's mean is T in
+    # every order, so the mean variance is the mean second moment less T^2.
+    p = Fraction(1, 2)
+    stats = compute_stats(build_adjacency(EdgeList(edges)))
+    closed_form = (stats.triangles * (1 - p * p) / (p * p)
+                   + Fraction(16, 15) * stats.shared_pairs * (1 - p) / p)
+    assert closed_form == variance
+    mean_square = mean_over_orders(
+        edges, orbits, lambda stream: second_moment(nes_estimate(stream, float(p))))
+    assert mean_square - stats.triangles ** 2 == variance
+
+
+@pytest.mark.parametrize("capacity, variance", [(1, Fraction(13, 2)), (2, Fraction(11, 4))])
+def test_pes_exact_variance_on_a_pendant_triangle(capacity, variance):
+    # Mean over all 24 orders at p = 1/2; NES's is 3.  The estimate's mean
+    # is 1 in every order (above), so the variance is E[X^2] - 1.
+    mean_square = mean_over_orders(
+        PENDANT, dict.fromkeys(PENDANT, 1),
+        lambda stream: second_moment(pes_estimate(stream, 0.5, capacity)))
+    assert mean_square - 1 == variance
 
 
 def test_retention_exact_on_a_cycle():

@@ -7,7 +7,7 @@ result.  The script copies the repository's files (tracked, plus untracked
 ones that are not ignored) to a temporary directory, checks that the
 unmutated copy passes every listed test, then applies one row at a time and
 runs that row's tests with ``-x``.  A row whose tests still pass survived.
-Each of the 43 rows is killed by a failing test within seconds; a row whose
+Every row is killed by a failing test within seconds; a row whose
 tests run past five times the baseline's time (a mutant that makes a loop
 endless) is also counted as killed, with "timeout" in its line.  The last
 line gives the run's wall time.
@@ -58,6 +58,7 @@ GENERATOR_TESTS = (
     "tests/test_generators.py::test_generators_emit_normalized_edge_lists",
     "tests/test_generators.py::test_generator_edge_lists_match_pinned_digest",
 )
+JOBS_TEST = "tests/test_harness.py::test_jobs_capped_at_runs_and_cores"
 CHAIN_TEST = "tests/test_estimators.py::test_pool_chains_many_open_slots_under_one_pair"
 AUDIT_CASE = "tests/test_estimators.py::test_pool_audit_catches_corruption[{}]"
 
@@ -266,6 +267,34 @@ MUTANTS = (
         "if target.exists() and Path(input_path).exists() and target.samefile(input_path):",
         "if False:",
         ("tests/test_cli.py::test_csv_naming_the_input_is_refused",),
+    ),
+    Mutant(
+        "--csv stages under the pid alone",
+        CLI,
+        "os.urandom(8).hex()",
+        "os.getpid()",
+        ("tests/test_cli.py::test_stale_staged_file_does_not_block_csv",),
+    ),
+    Mutant(
+        "--csv stages and replaces a target that is not a regular file",
+        CLI,
+        "in_place = Path(csv_path).exists() and not Path(csv_path).is_file()",
+        "in_place = False",
+        ("tests/test_cli.py::test_csv_to_a_fifo_writes_in_place",),
+    ),
+    Mutant(
+        "workers take one run index per task",
+        HARNESS,
+        "chunksize=ceil(config.runs / workers)",
+        "chunksize=1",
+        (JOBS_TEST,),
+    ),
+    Mutant(
+        "worker count not capped at the run count",
+        HARNESS,
+        "min(config.jobs, config.runs, os.cpu_count() or 1)",
+        "min(config.jobs, os.cpu_count() or 1)",
+        (JOBS_TEST,),
     ),
     Mutant(
         "evaluate stages --csv before its config",

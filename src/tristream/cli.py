@@ -98,11 +98,13 @@ def _parse_targets(text: str) -> list[float]:
 @contextmanager
 def _staged_csv(csv_path: str | None, input_path: str) -> Iterator[IO[str] | None]:
     """A temporary file beside ``csv_path`` that replaces it when the block
-    succeeds and is removed when it fails; None without a path.
+    succeeds and is removed when it fails; None without a path.  A path
+    that exists and is not a regular file (a pipe or a device) is opened
+    in place instead, as a shell redirection would open it.
 
     A handler enters it after every usage check and before it reads
     ``input_path``, which the target may not be; a failed command leaves
-    an existing file at ``csv_path`` untouched.
+    an existing regular file at ``csv_path`` untouched.
     """
     if csv_path is None:
         yield None
@@ -112,11 +114,20 @@ def _staged_csv(csv_path: str | None, input_path: str) -> Iterator[IO[str] | Non
         raise IsADirectoryError(f"--csv target is a directory: {csv_path}")
     if target.exists() and Path(input_path).exists() and target.samefile(input_path):
         raise OSError(f"--csv target is the input file: {csv_path}")
-    staged = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    in_place = Path(csv_path).exists() and not Path(csv_path).is_file()
+    if in_place:
+        staged = Path(csv_path)
+    else:
+        # A random part, so that a file left by a killed run cannot block this one.
+        staged = target.with_name(f".{target.name}.{os.urandom(8).hex()}.tmp")
     try:
-        handle = open(staged, "x", newline="", encoding="utf-8")
+        handle = open(staged, "w" if in_place else "x", newline="", encoding="utf-8")
     except OSError as err:
         raise OSError(err.errno, f"cannot write --csv file: {err.strerror}", csv_path) from None
+    if in_place:
+        with handle:
+            yield handle
+        return
     try:
         with handle:
             yield handle

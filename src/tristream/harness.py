@@ -12,6 +12,8 @@ from __future__ import annotations
 import csv
 import os
 from dataclasses import asdict, dataclass, fields
+from functools import partial
+from math import ceil
 from pathlib import Path
 from statistics import fmean
 from typing import IO, Any, Collection, Iterable, Iterator, Mapping, Sequence
@@ -144,37 +146,6 @@ def single_run(stream: EdgeList, config: ExperimentConfig, index: int = 0) -> Es
     return pes_run(stream, config.p, config.pool, rng)
 
 
-# The stream and config of the experiment a worker process serves, set once
-# per worker by _init_worker so that each task sends only its run index.
-_worker_task: tuple[EdgeList, ExperimentConfig] | None = None
-
-
-def _init_worker(stream: EdgeList, config: ExperimentConfig) -> None:
-    global _worker_task
-    _worker_task = (stream, config)
-
-
-def _worker_run(index: int) -> EstimateResult:
-    assert _worker_task is not None, "worker process was not initialized"
-    return single_run(*_worker_task, index)
-
-
-def _execute_runs(stream: EdgeList, config: ExperimentConfig) -> tuple[EstimateResult, ...]:
-    # The pool starts every worker at once, so more workers than runs or
-    # cores would only add processes; results do not depend on the count.
-    workers = min(config.jobs, config.runs, os.cpu_count() or 1)
-    if workers <= 1:
-        return tuple(single_run(stream, config, index) for index in range(config.runs))
-    # Imported here: it pulls in multiprocessing, which serial runs never use.
-    from concurrent.futures import ProcessPoolExecutor
-
-    chunksize = max(1, config.runs // (workers * 8))
-    with ProcessPoolExecutor(
-        max_workers=workers, initializer=_init_worker, initargs=(stream, config)
-    ) as executor:
-        return tuple(executor.map(_worker_run, range(config.runs), chunksize=chunksize))
-
-
 def _require_runs(runs: int) -> None:
     if runs < 2:
         raise InfeasibleError(f"insufficient runs: observed RSE needs k >= 2, got k = {runs}")
@@ -195,7 +166,20 @@ def run_experiment(
     if config.shuffle == "fixed":
         # One shared random order, derived from the base seed.
         stream = shuffle_stream(edges, mix_seed(config.base_seed))
-    results = _execute_runs(stream, config)
+    run = partial(single_run, stream, config)
+    # The pool starts every worker at once, so more workers than runs or
+    # cores would only add processes; results do not depend on the count.
+    workers = min(config.jobs, config.runs, os.cpu_count() or 1)
+    if workers <= 1:
+        results = tuple(map(run, range(config.runs)))
+    else:
+        # Imported here: it pulls in multiprocessing, which serial runs never use.
+        from concurrent.futures import ProcessPoolExecutor
+
+        # One chunk of run indices per worker, so the stream is sent once to each.
+        with ProcessPoolExecutor(workers) as executor:
+            results = tuple(executor.map(run, range(config.runs),
+                                         chunksize=ceil(config.runs / workers)))
     estimates = [result.estimate for result in results]
     mean_triangles = fmean(result.triangles_observed for result in results)
     return RunSummary(

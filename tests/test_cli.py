@@ -6,6 +6,7 @@ import gzip
 import io
 import math
 import os
+import stat
 import subprocess
 import sys
 from itertools import combinations
@@ -675,6 +676,40 @@ def test_csv_replaces_existing_file_on_success(capsys, toy_file, tmp_path):
     assert code == 0
     assert target.read_text() == "\n".join(out.splitlines()[2:]) + "\n"
     assert sorted(path.name for path in tmp_path.iterdir()) == ["out.csv", "toy.txt"]
+
+
+def test_stale_staged_file_does_not_block_csv(capsys, toy_file, tmp_path):
+    # A file a killed run left behind, under the name a pid alone would give.
+    stray = tmp_path / f".out.csv.{os.getpid()}.tmp"
+    stray.write_text("stray\n")
+    target = tmp_path / "out.csv"
+    code, _, err = run_cli(
+        capsys, "calibrate", "--input", str(toy_file), "--target-rse", "0.2", "--csv", str(target)
+    )
+    assert (code, err) == (0, "")
+    assert stray.read_text() == "stray\n"
+    plain = tmp_path / "plain.csv"
+    with open(plain, "w"):
+        pass
+    assert target.stat().st_mode == plain.stat().st_mode
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+def test_csv_to_a_fifo_writes_in_place(capsys, toy_file, tmp_path):
+    argv = ("estimate", "--input", str(toy_file), *CSV_COMMANDS["estimate"], "--csv")
+    regular = tmp_path / "out.csv"
+    assert run_cli(capsys, *argv, str(regular))[0] == 0
+    fifo = tmp_path / "out.fifo"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        assert run_cli(capsys, *argv, str(fifo))[0] == 0
+        received = os.read(reader, 1 << 16)
+    finally:
+        os.close(reader)
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+    assert received == regular.read_bytes()
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["out.csv", "out.fifo", "toy.txt"]
 
 
 # ---------------------------------------------------------------------------

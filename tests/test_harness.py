@@ -248,15 +248,14 @@ def test_parallel_equals_serial(small_graph):
 
 
 def test_jobs_capped_at_runs_and_cores(small_graph, monkeypatch):
-    pools: list[int] = []
+    pools: list[tuple[int, int]] = []
 
     class InProcessPool:
         """Stands in for ProcessPoolExecutor without starting a process:
-        records the worker count, runs the initializer here, maps serially."""
+        records the worker count and chunk size, maps serially."""
 
-        def __init__(self, max_workers, initializer, initargs):
-            pools.append(max_workers)
-            initializer(*initargs)
+        def __init__(self, max_workers):
+            self.max_workers = max_workers
 
         def __enter__(self):
             return self
@@ -265,20 +264,21 @@ def test_jobs_capped_at_runs_and_cores(small_graph, monkeypatch):
             return None
 
         def map(self, fn, iterable, chunksize=1):
+            pools.append((self.max_workers, chunksize))
             return map(fn, iterable)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
-    monkeypatch.setattr(harness, "_worker_task", None)
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     serial = run_experiment(small_graph, config(runs=3))
     assert run_experiment(small_graph, config(runs=3, jobs=64)).results == serial.results
-    assert pools == [3]
+    assert pools == [(3, 1)]
+    # One contiguous chunk of run indices per worker.
     run_experiment(small_graph, config(runs=50, jobs=64))
-    assert pools == [3, 8]
+    assert pools == [(3, 1), (8, math.ceil(50 / 8))]
     # An unknown core count runs serially.
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     run_experiment(small_graph, config(runs=50, jobs=64))
-    assert pools == [3, 8]
+    assert len(pools) == 2
 
 
 def test_fixed_shuffle_reuses_one_order(small_graph):

@@ -60,6 +60,7 @@ GENERATOR_TESTS = (
 )
 JOBS_TEST = "tests/test_harness.py::test_jobs_capped_at_runs_and_cores"
 CHAIN_TEST = "tests/test_estimators.py::test_pool_chains_many_open_slots_under_one_pair"
+FULL_DEVICE_TEST = "tests/test_cli.py::test_csv_write_to_a_full_device_prints_nothing"
 AUDIT_CASE = "tests/test_estimators.py::test_pool_audit_catches_corruption[{}]"
 
 # Each condition of WedgePool.audit, and a corruption case that it catches.
@@ -142,6 +143,13 @@ MUTANTS = (
         "if len(members) != degree:",
         "if False:",
         ("tests/test_oracle.py::test_unnormalized_edge_list_rejected",),
+    ),
+    Mutant(
+        "adjacency inserts an absent node on lookup",
+        ORACLE,
+        "    adjacency.default_factory = None\n",
+        "",
+        ("tests/test_oracle.py::test_single_edge",),
     ),
     Mutant(
         "BA emits each edge newer endpoint first",
@@ -281,6 +289,46 @@ MUTANTS = (
         "in_place = Path(csv_path).exists() and not Path(csv_path).is_file()",
         "in_place = False",
         ("tests/test_cli.py::test_csv_to_a_fifo_writes_in_place",),
+    ),
+    # "with handle:" then "yield handle" occurs twice, so each row starts a line earlier.
+    Mutant(
+        "--csv leaves the staged file open",
+        CLI,
+        "    try:\n        with handle:\n            yield handle\n",
+        "    try:\n        yield handle\n",
+        ("tests/test_cli.py::test_csv_replaces_existing_file_on_success",),
+    ),
+    Mutant(
+        "--csv leaves a file written in place open",
+        CLI,
+        "    if in_place:\n        with handle:\n            yield handle\n",
+        "    if in_place:\n        yield handle\n",
+        ("tests/test_cli.py::test_csv_to_a_fifo_writes_in_place",),
+    ),
+    Mutant(
+        "--csv is written after stdout",
+        CLI,
+        "    if csv_file is not None:\n"
+        "        write_csv(csv_file, columns, rows)\n"
+        "        csv_file.flush()\n"
+        "    for line in lines:\n"
+        "        print(line)\n"
+        "    if table_on_stdout:\n"
+        "        write_csv(sys.stdout, columns, rows)\n",
+        "    for line in lines:\n"
+        "        print(line)\n"
+        "    if table_on_stdout:\n"
+        "        write_csv(sys.stdout, columns, rows)\n"
+        "    if csv_file is not None:\n"
+        "        write_csv(csv_file, columns, rows)\n",
+        (FULL_DEVICE_TEST, "tests/test_cli.py::test_failed_csv_write_prints_nothing"),
+    ),
+    Mutant(
+        "--csv is not flushed before stdout",
+        CLI,
+        "        csv_file.flush()\n",
+        "",
+        (FULL_DEVICE_TEST,),
     ),
     Mutant(
         "workers take one run index per task",

@@ -141,14 +141,16 @@ def _staged_csv(csv_path: str | None, input_path: str) -> Iterator[IO[str] | Non
 def _report(csv_file: IO[str] | None, lines: Sequence[str], columns: Collection[str],
             rows: Sequence[Mapping[str, object]], *, table_on_stdout: bool = False,
             note: str | None = None) -> int:
-    """Print ``lines`` (then the table, with ``table_on_stdout``), write the
-    table to ``csv_file`` and print ``note`` to stderr."""
+    """Write the table to ``csv_file`` and flush it, then print ``lines``
+    (then the table, with ``table_on_stdout``), then ``note`` to stderr; a
+    write that fails thus prints nothing to stdout."""
+    if csv_file is not None:
+        write_csv(csv_file, columns, rows)
+        csv_file.flush()
     for line in lines:
         print(line)
     if table_on_stdout:
         write_csv(sys.stdout, columns, rows)
-    if csv_file is not None:
-        write_csv(csv_file, columns, rows)
     if note:
         print(f"note: {note}", file=sys.stderr)
     return ExitStatus.OK

@@ -12,6 +12,7 @@ triangles that share an edge.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from operator import mul
 
@@ -40,19 +41,12 @@ def build_adjacency(edge_list: EdgeList) -> dict[NodeId, list[NodeId]]:
     """Symmetric neighbor-list dict of an edge list, each list in stream
     order.  A self-loop or a repeated edge shows as a repeated neighbor,
     which ``compute_stats`` refuses."""
-    adjacency: dict[NodeId, list[NodeId]] = {}
-    get = adjacency.get
+    adjacency: defaultdict[NodeId, list[NodeId]] = defaultdict(list)
     for u, v in edge_list.edges:
-        neighbors = get(u)
-        if neighbors is None:
-            adjacency[u] = [v]
-        else:
-            neighbors.append(v)
-        neighbors = get(v)
-        if neighbors is None:
-            adjacency[v] = [u]
-        else:
-            neighbors.append(u)
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+    # A lookup of an absent node raises KeyError, as on a plain dict.
+    adjacency.default_factory = None
     return adjacency
 
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import codecs
 import contextlib
+import errno
 import gzip
 import io
 import math
@@ -710,6 +711,35 @@ def test_csv_to_a_fifo_writes_in_place(capsys, toy_file, tmp_path):
     assert stat.S_ISFIFO(fifo.stat().st_mode)
     assert received == regular.read_bytes()
     assert sorted(path.name for path in tmp_path.iterdir()) == ["out.csv", "out.fifo", "toy.txt"]
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+@pytest.mark.parametrize("command", CSV_COMMANDS)
+def test_csv_write_to_a_full_device_prints_nothing(capsys, toy_file, command):
+    code, out, err = run_cli(
+        capsys, command, "--input", str(toy_file), *CSV_COMMANDS[command], "--csv", "/dev/full"
+    )
+    assert_data_error(code, out, err)
+
+
+@pytest.mark.parametrize("command", CSV_COMMANDS)
+def test_failed_csv_write_prints_nothing(capsys, toy_file, tmp_path, monkeypatch, command):
+    write_csv = cli.write_csv
+
+    def fail_on_the_file(handle, columns, rows):
+        if handle is not sys.stdout:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        write_csv(handle, columns, rows)
+
+    monkeypatch.setattr(cli, "write_csv", fail_on_the_file)
+    target = tmp_path / "out.csv"
+    target.write_text("earlier results\n")
+    code, out, err = run_cli(
+        capsys, command, "--input", str(toy_file), *CSV_COMMANDS[command], "--csv", str(target)
+    )
+    assert_data_error(code, out, err)
+    assert target.read_text() == "earlier results\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["out.csv", "toy.txt"]
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,11 @@ def test_empty_graph():
 def test_single_edge():
     graph = build_adjacency(EdgeList((make_edge(1, 2),)))
     assert graph == {1: [2], 2: [1]}
+    # An absent node reads as on a plain dict, and no lookup inserts it.
+    with pytest.raises(KeyError):
+        graph[3]
+    assert graph.get(3) is None
+    assert graph == {1: [2], 2: [1]}
     stats = compute_stats(graph)
     assert (stats.wedges, stats.triangles) == (0, 0)
 
